@@ -46,7 +46,7 @@ class WireConfig:
             transmission (seeded; exercises the CRC discard path).
         inbox_capacity: Server-side bounded-inbox depth; overflowing
             datagrams are tail-dropped and counted.
-        drain_per_tick: Max frames the server decodes per runtime tick.
+        drain_per_tick: Frames the server may apply between two ticks.
         recv_chunk: Max datagrams drained per reader wakeup.
         socket_buffer_bytes: Requested SO_RCVBUF/SO_SNDBUF size.
         query_rate: Self-generated query load (queries per second) the

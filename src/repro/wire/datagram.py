@@ -41,6 +41,7 @@ from repro.obs.telemetry import NULL_TELEMETRY
 
 __all__ = [
     "MAX_DATAGRAM_BYTES",
+    "SLICE_BUDGET_S",
     "WireCounters",
     "PoisonLedger",
     "BatchDatagramReceiver",
@@ -51,6 +52,10 @@ __all__ = [
 #: Largest frame the receiver accepts; a resync for a 4-state filter is
 #: ~150 bytes, so anything near this bound is garbage, not protocol.
 MAX_DATAGRAM_BYTES = 4096
+
+#: Wall time one apply slice (server) or send burst (fleet) may hold the
+#: event loop before it yields: the longest a TCP query waits behind one.
+SLICE_BUDGET_S = 0.002
 
 
 def open_udp_socket(
@@ -184,7 +189,7 @@ class BatchDatagramReceiver:
         sock: The bound non-blocking socket.
         on_datagram: Callback ``(payload, addr) -> None`` invoked for
             every received datagram; must be cheap (enqueue, count) --
-            decode happens later, on the runtime's tick budget.
+            decode happens later, in the server's apply slices.
         counters: Shared ledger; receive counts land here.
         chunk: Max datagrams drained per reader wakeup.  Bounding the
             drain keeps one flood from starving the loop's other tasks
@@ -215,7 +220,7 @@ class BatchDatagramReceiver:
     def install(self, loop) -> None:
         """Register the drain callback with the event loop."""
         self._loop = loop
-        loop.add_reader(self._sock.fileno(), self._drain)
+        loop.add_reader(self._sock.fileno(), self.drain)
 
     def close(self) -> None:
         """Deregister from the loop (the socket stays open)."""
@@ -223,7 +228,8 @@ class BatchDatagramReceiver:
             self._loop.remove_reader(self._sock.fileno())
             self._loop = None
 
-    def _drain(self) -> None:
+    def drain(self) -> None:
+        """Hand up what the socket holds now, at most ``chunk`` datagrams."""
         counters = self.counters
         on_datagram = self._on_datagram
         recvfrom = self._sock.recvfrom

@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.errors import ConfigurationError, CorruptMessageError
 from repro.filters.models import constant_model
 from repro.wire.config import WireConfig
 from repro.wire.datagram import (
+    SLICE_BUDGET_S,
     BatchDatagramReceiver,
     WireCounters,
     corrupt_datagram,
@@ -58,9 +60,6 @@ from repro.wire.datagram import (
 )
 
 __all__ = ["LiteFleet", "StepperFleet", "collision_free_ids"]
-
-#: Datagrams sent between event-loop yields while a fleet transmits.
-_SEND_CHUNK = 500
 
 #: Random-walk step scale for simulated stream values.
 _WALK_SIGMA = 0.5
@@ -99,6 +98,8 @@ class _FleetSocket:
         self._server_addr: tuple[str, int] | None = None
         self._ack_buf: list[bytes] = []
         self._shaper = None
+        self._frame_index = 0
+        self.corrupts_injected = 0
 
     def open(self, loop, server_addr: tuple[str, int]) -> tuple[str, int]:
         if self._sock is not None:
@@ -165,6 +166,32 @@ class _FleetSocket:
         self._raw_send(payload, self._server_addr)
         return self.counters.send_failures == before
 
+    async def transmit(self, frames: list[bytes], rng) -> None:
+        """Send one tick's frames in order, yielding on a time budget.
+
+        The corruption draw is taken once, before the first send, so
+        the seeded schedule never depends on where the yields fall.
+        """
+        corrupt_rate = self._config.corrupt_rate
+        flips = (
+            rng.random(len(frames)) < corrupt_rate
+            if corrupt_rate > 0.0 and frames
+            else None
+        )
+        clock = time.perf_counter
+        deadline = clock() + SLICE_BUDGET_S
+        for i, payload in enumerate(frames):
+            if flips is not None and flips[i]:
+                payload = corrupt_datagram(payload, self._frame_index)
+                self.corrupts_injected += 1
+            self._frame_index += 1
+            self.send(payload)
+            if clock() >= deadline:
+                # Yield so the (co-located) server's reader drains the
+                # burst instead of racing the kernel buffer.
+                await asyncio.sleep(0)
+                deadline = clock() + SLICE_BUDGET_S
+
 
 class LiteFleet:
     """100k-source simulated fleet with vectorised protocol state.
@@ -222,11 +249,9 @@ class LiteFleet:
             ),
         )
         self._net = _FleetSocket(config)
-        self._frame_index = 0
         self.updates_sent = 0
         self.resyncs_sent = 0
         self.heartbeats_sent = 0
-        self.corrupts_injected = 0
         self.acks_received = 0
         self.resyncs_requested = 0
 
@@ -436,26 +461,8 @@ class LiteFleet:
         sent_any = resync_due | update_due | heartbeat_due
         self.last_send[sent_any] = tick
 
-        await self._transmit(frames, rng)
+        await self._net.transmit(frames, rng)
         return len(frames)
-
-    async def _transmit(self, frames: list[bytes], rng) -> None:
-        corrupt_rate = self._config.corrupt_rate
-        flips = (
-            rng.random(len(frames)) < corrupt_rate
-            if corrupt_rate > 0.0 and frames
-            else None
-        )
-        for i, payload in enumerate(frames):
-            if flips is not None and flips[i]:
-                payload = corrupt_datagram(payload, self._frame_index)
-                self.corrupts_injected += 1
-            self._frame_index += 1
-            self._net.send(payload)
-            if (i + 1) % _SEND_CHUNK == 0:
-                # Yield so the (co-located) server's reader drains the
-                # burst instead of racing the kernel buffer.
-                await asyncio.sleep(0)
 
     def summary(self) -> dict[str, object]:
         """Fleet-side totals for the soak summary's ``fleet`` section."""
@@ -464,7 +471,7 @@ class LiteFleet:
             "updates_sent": self.updates_sent,
             "resyncs_sent": self.resyncs_sent,
             "heartbeats_sent": self.heartbeats_sent,
-            "corrupts_injected": self.corrupts_injected,
+            "corrupts_injected": self._net.corrupts_injected,
             "acks_received": self.acks_received,
             "resyncs_requested": self.resyncs_requested,
             "widened_sources": int((self.delta_scale > 1.0).sum()),
@@ -508,9 +515,7 @@ class StepperFleet:
         ]
         self._slot = {sid: i for i, sid in enumerate(self.source_ids)}
         self._net = _FleetSocket(config)
-        self._frame_index = 0
         self.acked_seq = np.full(config.sources, -1, dtype=np.int64)
-        self.corrupts_injected = 0
         self.acks_received = 0
 
     @property
@@ -594,24 +599,8 @@ class StepperFleet:
             reading = np.full(dims, self.value[slot])
             for message in stepper.step(tick, reading, now=tick):
                 frames.append(encode_message(message))
-        await self._transmit(frames, rng)
+        await self._net.transmit(frames, rng)
         return len(frames)
-
-    async def _transmit(self, frames: list[bytes], rng) -> None:
-        corrupt_rate = self._config.corrupt_rate
-        flips = (
-            rng.random(len(frames)) < corrupt_rate
-            if corrupt_rate > 0.0 and frames
-            else None
-        )
-        for i, payload in enumerate(frames):
-            if flips is not None and flips[i]:
-                payload = corrupt_datagram(payload, self._frame_index)
-                self.corrupts_injected += 1
-            self._frame_index += 1
-            self._net.send(payload)
-            if (i + 1) % _SEND_CHUNK == 0:
-                await asyncio.sleep(0)
 
     def summary(self) -> dict[str, object]:
         """Fleet-side totals for the runtime report."""
@@ -621,7 +610,7 @@ class StepperFleet:
         return {
             "sources": self._config.sources,
             "updates_sent": updates,
-            "corrupts_injected": self.corrupts_injected,
+            "corrupts_injected": self._net.corrupts_injected,
             "acks_received": self.acks_received,
             "endpoint": self._net.counters.as_dict(),
         }

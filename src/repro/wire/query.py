@@ -72,6 +72,7 @@ class QueryServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._handlers: set[asyncio.Task] = set()
+        self._closing = False
         self._buckets: dict[str, tuple[float, float]] = {}
         self.queries_served = 0
 
@@ -94,9 +95,12 @@ class QueryServer:
 
         Open handler tasks are cancelled and awaited here; leaving them
         pending would push the cancellation into loop teardown, where
-        asyncio logs it as an unretrieved exception.
+        asyncio logs it as an unretrieved exception.  ``wait_for`` hands
+        a handler its line instead of the cancellation when both land in
+        one loop pass; the flag ends that handler after the reply.
         """
         if self._server is not None:
+            self._closing = True
             self._server.close()
             for task in list(self._handlers):
                 task.cancel()
@@ -122,7 +126,7 @@ class QueryServer:
                 return
             peername = writer.get_extra_info("peername")
             peer = peername[0] if peername else "?"
-            while True:
+            while not self._closing:
                 try:
                     line = await asyncio.wait_for(
                         reader.readline(),
@@ -292,6 +296,7 @@ class QueryServer:
             "inbox_depth": self._wire.inbox_depth,
             "queries_served": self.queries_served,
             "wire": self._wire.counters.as_dict(),
+            "apply": self._wire.apply_stats(),
         }
 
 

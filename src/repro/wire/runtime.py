@@ -11,6 +11,12 @@ duration through the ``tick_seconds`` factor.  A tick that finishes
 late is counted as an overrun, never silently stretched, so the report
 is honest about whether the box kept up.
 
+The tick is housekeeping, not the update path: the server applies
+datagrams as they land, in time-budgeted slices (see :mod:`repro.wire.
+server`).  Each tick advances the server clock, lets the fleet offer,
+then runs ``process_tick`` (allowance refill, overload step, gauges)
+and the coordinator hook.
+
 Telemetry under this backend runs on a millisecond clock: the runtime
 stamps ``set_tick(elapsed_ms)`` each tick, so metric history, health
 watchers and the ms-denominated :func:`~repro.obs.slo.wire_rules` all
@@ -233,6 +239,7 @@ class AsyncRuntime(Scheduler):
             "fleet": self.fleet.summary(),
             "server": (
                 self.server.counters.as_dict()
+                | {"apply": self.server.apply_stats()}
                 if self.server is not None
                 else {}
             ),
@@ -294,6 +301,9 @@ class AsyncRuntime(Scheduler):
                     await asyncio.sleep(target - now)
                 else:
                     self.overruns += 1
+                # Clock before offer: frames stamped k = tick are applied
+                # as they land, and liveness and acks are stamped from it.
+                self.server.dkf.advance_clock(tick)
                 await self.fleet.step_tick(tick)
                 await self.server.process_tick(tick)
                 if self._chaos is not None:

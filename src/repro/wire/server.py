@@ -3,19 +3,26 @@
 A :class:`WireServer` wraps the sans-IO :class:`~repro.dkf.server.
 DKFServer` (tolerant mode, ack outbox on) with the real-socket plumbing:
 a batch-draining UDP receiver feeding a :class:`~repro.resilience.
-supervisor.BoundedInbox`, a per-tick decode/apply budget, ack datagrams
-flowing back to each source's last seen address, and socket-level
-backpressure -- the inbox depth feeds the PR-3
-:class:`~repro.resilience.supervisor.OverloadController` exactly the way
-the tick engine's drain loop does, and the resulting δ-scale changes are
-handed to the runtime's control-plane callback (in the soak harness the
-fleet is co-located, so the callback applies them directly; a deployed
-fleet would receive them out-of-band).
+supervisor.BoundedInbox`, event-driven apply, ack datagrams flowing back
+to each source's last seen address, and socket-level backpressure -- the
+inbox depth feeds the PR-3 :class:`~repro.resilience.supervisor.
+OverloadController` exactly the way the tick engine's drain loop does,
+and the resulting δ-scale changes are handed to the runtime's
+control-plane callback (in the soak harness the fleet is co-located, so
+the callback applies them directly; a deployed fleet would receive them
+out-of-band).
 
-The receive callback does nothing but enqueue: decode, filter updates
-and ack emission all run on the runtime's tick budget, chunked with
-event-loop yields so the TCP query API keeps answering while a burst
-drains.
+Event-driven apply, periodic housekeeping.  The receive callback does
+nothing but enqueue (the inbox is the single admission point) and arm a
+*slice*: a ``loop.call_soon`` callback that decodes and applies queued
+datagrams for :data:`~repro.wire.datagram.SLICE_BUDGET_S` of wall time,
+flushes their acks and re-arms itself while work remains, so an update
+is visible milliseconds after its ``sendto`` and TCP queries interleave
+between slices.  The budget is time, not a datagram count, because what
+a query waits for is the stretch the loop does not yield.  The tick
+(:meth:`WireServer.process_tick`) keeps what is genuinely periodic: the
+liveness clock, the ``drain_per_tick`` apply allowance refill, the
+overload step and the inbox gauge.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+import time
 from collections.abc import Callable
 
 from repro.dkf.config import DKFConfig, TransportPolicy
@@ -42,6 +50,7 @@ from repro.resilience.supervisor import (
 )
 from repro.wire.config import WireConfig
 from repro.wire.datagram import (
+    SLICE_BUDGET_S,
     BatchDatagramReceiver,
     PoisonLedger,
     WireCounters,
@@ -50,8 +59,10 @@ from repro.wire.datagram import (
 
 __all__ = ["WireServer"]
 
-#: Frames decoded between event-loop yields while draining a tick.
-_DECODE_CHUNK = 500
+#: Service-time estimate before the first slice has measured one, and
+#: the weight a new slice's measurement gets in the running estimate.
+_SERVICE_SEED_S = 50e-6
+_SERVICE_ALPHA = 0.2
 
 
 class WireServer:
@@ -110,6 +121,12 @@ class WireServer:
         self._fleet_dkf_config: DKFConfig | None = None
         self._fleet_transport: TransportPolicy | None = None
         self.poison = PoisonLedger(self._tel)
+        self._loop = None
+        self._slice: asyncio.Handle | None = None
+        self._allowance = config.drain_per_tick
+        self._service_s = _SERVICE_SEED_S
+        self._longest_slice_s = 0.0
+        self._slices = self._applied = self._reported = self._exhausted = 0
 
     # Lifecycle ------------------------------------------------------------
 
@@ -141,13 +158,13 @@ class WireServer:
             on_oversize=lambda: self.poison.reject("oversize"),
         )
         self._receiver.install(loop)
+        self._loop = loop
+        self._arm()  # a rebind may have left datagrams queued
         return self._sock.getsockname()
 
     def close(self) -> None:
-        """Remove the reader and close the socket."""
-        if self._receiver is not None:
-            self._receiver.close()
-            self._receiver = None
+        """Remove the reader, cancel the slice and close the socket."""
+        self.stop_receiving()
         if self._sock is not None:
             self._sock.close()
             self._sock = None
@@ -167,11 +184,16 @@ class WireServer:
         """Deregister the reader but keep the socket (drain phase 1).
 
         Acks for already-queued frames can still be sent; new datagrams
-        accumulate in the kernel buffer and die with the socket.
+        accumulate in the kernel buffer and die with the socket.  The
+        pending slice is cancelled: from here on only
+        :meth:`flush_inbox` applies anything.
         """
         if self._receiver is not None:
             self._receiver.close()
             self._receiver = None
+        if self._slice is not None:
+            self._slice.cancel()
+            self._slice = None
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -230,39 +252,89 @@ class WireServer:
     # Receive path ---------------------------------------------------------
 
     def _on_datagram(self, data: bytes, addr: tuple) -> None:
-        """Reader callback: enqueue only (decode runs on the tick budget)."""
+        """Reader callback: enqueue and arm the slice, nothing more."""
         if not self._inbox.offer((data, addr)):
             self.counters.inbox_dropped += 1
+        elif self._slice is None:
+            self._arm()
 
-    async def process_tick(self, tick: int) -> int:
-        """One runtime tick of server work; returns frames processed.
+    def _arm(self) -> None:
+        """Schedule the one slice if it has work and allowance to do it."""
+        if (
+            self._slice is None
+            and self._allowance > 0
+            and self._inbox.depth
+            and self._receiver is not None
+        ):
+            self._slice = self._loop.call_soon(self._run_slice)
 
-        Advances the liveness clock, decodes up to ``drain_per_tick``
-        queued datagrams (yielding to the event loop between chunks so
-        queries interleave), flushes the ack outbox after every chunk,
-        and feeds the inbox depth into the overload controller.
-        """
-        self.dkf.advance_clock(tick)
-        budget = self._config.drain_per_tick
-        processed = 0
-        while budget > 0:
-            batch = self._inbox.drain(min(budget, _DECODE_CHUNK))
+    def _run_slice(self) -> None:
+        """Apply queued datagrams for one time budget, ack them, re-arm."""
+        self._slice = None
+        clock = time.perf_counter
+        started = clock()
+        # The clock is read a quarter-budget apart at the measured rate.
+        stride = max(1, int(SLICE_BUDGET_S / (4 * self._service_s)))
+        applied = 0
+        while self._allowance > 0:
+            batch = self._inbox.drain(min(stride, self._allowance))
             if not batch:
                 break
             for data, addr in batch:
                 self._apply_datagram(data, addr)
-            processed += len(batch)
-            budget -= len(batch)
-            self._flush_acks()
-            await asyncio.sleep(0)
+            applied += len(batch)
+            self._allowance -= len(batch)
+            if clock() - started >= SLICE_BUDGET_S:
+                break
         self._flush_acks()
+        elapsed = clock() - started
+        self._slices += 1
+        self._applied += applied
+        self._service_s += _SERVICE_ALPHA * (
+            elapsed / applied - self._service_s
+        )
+        self._longest_slice_s = max(self._longest_slice_s, elapsed)
+        if self._allowance == 0 and self._inbox.depth:
+            self._exhausted += 1
+        if self._tel.enabled:
+            self._tel.gauge("wire_apply_slice_ms", elapsed * 1000.0)
+        self._arm()
+
+    async def process_tick(self, tick: int) -> int:
+        """One tick of housekeeping; returns frames applied since the last.
+
+        Advances the liveness clock, refills the ``drain_per_tick``
+        apply allowance, takes in what already reached the socket (the
+        loop may not have run the reader since the fleet's last send),
+        yields while the slices drain the inbox or spend the allowance,
+        then feeds the depth that is *left* to the overload controller.
+        """
+        self.dkf.advance_clock(tick)
+        self._allowance = self._config.drain_per_tick
+        if self._receiver is not None:
+            self._receiver.drain()
+        self._arm()
+        while self._slice is not None:
+            await asyncio.sleep(0)
         depth = self._inbox.depth
         if self._tel.enabled:
             self._tel.gauge("inbox_depth", depth)
         changes = self._overload.step(tick, depth)
         if changes and self._on_scales is not None:
             self._on_scales(changes)
+        processed = self._applied - self._reported
+        self._reported = self._applied
         return processed
+
+    def apply_stats(self) -> dict[str, float]:
+        """Label-free account of the apply slices (measured, not seeded)."""
+        return {
+            "slices": self._slices,
+            "datagrams_applied": self._applied,
+            "service_us_ewma": round(self._service_s * 1e6, 2),
+            "longest_slice_ms": round(self._longest_slice_s * 1e3, 3),
+            "allowance_exhausted": self._exhausted,
+        }
 
     def _apply_datagram(self, data: bytes, addr: tuple) -> None:
         counters = self.counters
@@ -299,23 +371,18 @@ class WireServer:
         self.dkf.receive(message)
 
     def flush_inbox(self) -> int:
-        """Decode and apply *everything* queued, ignoring the tick budget.
+        """Decode and apply *everything* queued, ignoring the allowance.
 
         The drain path's inbox flush: after :meth:`stop_receiving`, the
         inbox is finite and this empties it synchronously so the
         checkpoint cut sees every datagram the runtime ever accepted.
         Returns the number of datagrams applied.
         """
-        processed = 0
-        while True:
-            batch = self._inbox.drain(_DECODE_CHUNK)
-            if not batch:
-                break
-            for data, addr in batch:
-                self._apply_datagram(data, addr)
-            processed += len(batch)
+        batch = self._inbox.drain(self._inbox.depth)
+        for data, addr in batch:
+            self._apply_datagram(data, addr)
         self._flush_acks()
-        return processed
+        return len(batch)
 
     # Send path ------------------------------------------------------------
 

@@ -7,6 +7,7 @@ paper's full sizes so the suite stays fast; the full-size runs live in
 
 from __future__ import annotations
 
+import faulthandler
 import math
 
 import numpy as np
@@ -20,6 +21,18 @@ from repro.datasets import (
 from repro.dkf.config import DKFConfig
 from repro.filters.models import constant_model, linear_model, sinusoidal_model
 from repro.streams.base import stream_from_values
+
+#: Seconds one test may run before every thread's stack is dumped and the
+#: run exits non-zero (the whole suite takes about a minute).
+TEST_DEADLINE_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _deadline():
+    """A hung test (a socket await nothing bounds) fails loudly, not forever."""
+    faulthandler.dump_traceback_later(TEST_DEADLINE_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

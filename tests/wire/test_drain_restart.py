@@ -11,6 +11,7 @@ missing from the restored server**, and the fleet re-primes to full
 coverage on the same endpoints.
 """
 
+import asyncio
 import json
 import zlib
 
@@ -107,17 +108,25 @@ class _DrillCoordinator:
         self.snapshot: dict | None = None
         self.snapshot_digest: int | None = None
         self.bit_identical: bool | None = None
+        self.acked_at_restart: dict[str, int] = {}
 
     def install(self, runtime, loop) -> None:
         """No shapers to arm; the drill is tick-driven."""
 
+    async def _drain(self, runtime) -> None:
+        self.acked_before = runtime.fleet.acked_high()
+        self.snapshot = await runtime.drain()
+        self.snapshot_digest = _digest(self.snapshot["sources"])
+
     async def on_tick(self, tick: int, runtime) -> None:
         """Drain exactly once, restart exactly one tick later."""
         if tick == self.drain_tick:
-            self.acked_before = runtime.fleet.acked_high()
-            self.snapshot = await runtime.drain()
-            self.snapshot_digest = _digest(self.snapshot["sources"])
+            if self.snapshot is None:
+                await self._drain(runtime)
         elif self.snapshot is not None and self.bit_identical is None:
+            # The server has been down since the cut, so these are all
+            # the acks it ever sent -- the flush's included.
+            self.acked_at_restart = runtime.fleet.acked_high()
             await runtime.restart(self.snapshot)
             reexported = {
                 source_id: runtime.server.dkf.export_source_state(
@@ -166,3 +175,72 @@ def test_mid_soak_drain_restart_loses_no_acked_update():
     report = runtime.report()
     assert report["drains"] == 1
     assert report["restarts"] == 1
+
+
+class _MidOfferDrill(_DrillCoordinator):
+    """Drains between the fleet's offer and the tick's housekeeping.
+
+    At that instant the tick's burst sits in the inbox and the apply
+    slice is armed but has not run: the cut must come after the flush
+    and the cancelled slice must not apply anything after the cut.
+    """
+
+    def __init__(self, drain_tick: int) -> None:
+        super().__init__(drain_tick)
+        self.queued_at_drain = 0
+        self.slice_pending = False
+
+    def install(self, runtime, loop) -> None:
+        server = runtime.server
+        housekeeping = server.process_tick
+
+        async def process_tick(tick: int) -> int:
+            if tick == self.drain_tick:
+                # A bounded poll, not a wait_for: its extra loop passes
+                # would let the slice run before this task resumes.
+                for _ in range(1000):
+                    if server.inbox_depth:
+                        break
+                    await asyncio.sleep(0)
+                self.queued_at_drain = server.inbox_depth
+                self.slice_pending = server._slice is not None
+                await asyncio.wait_for(self._drain(runtime), 5.0)
+            return await housekeeping(tick)
+
+        server.process_tick = process_tick
+
+
+def test_drain_with_a_slice_pending_cuts_after_the_flush():
+    config = WireConfig(
+        sources=40,
+        ticks=16,
+        tick_seconds=0.04,
+        seed=21,
+        update_prob=0.4,
+        ramp_ticks=4,
+        heartbeat_interval_ticks=6,
+        query_rate=50.0,
+    )
+    drill = _MidOfferDrill(drain_tick=10)
+    runtime = AsyncRuntime(config, chaos=drill)
+    assert runtime.run() == config.ticks
+
+    assert drill.queued_at_drain > 0 and drill.slice_pending
+    assert runtime.drains == 1 and runtime.restarts == 1
+    assert drill.bit_identical is True
+    # Every ack the server ever sent before going down -- the ones the
+    # flush emitted included -- is covered by the checkpoint.
+    expected = {
+        source_id: state["expected_seq"]
+        for source_id, state in drill.snapshot["sources"].items()
+    }
+    assert len(drill.acked_at_restart) >= len(drill.acked_before) > 0
+    lost = {
+        source_id: acked
+        for source_id, acked in drill.acked_at_restart.items()
+        if expected[source_id] < acked
+    }
+    assert lost == {}
+    # The flush reached the fleet: some ack is newer than before the cut.
+    assert drill.acked_at_restart != drill.acked_before
+    assert runtime.primed == config.sources

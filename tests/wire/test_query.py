@@ -270,3 +270,31 @@ async def _tcp_roundtrip():
             await writer.wait_closed()
     finally:
         await query.close()
+
+
+def test_close_with_a_request_in_flight_does_not_hang():
+    # wait_for returns the line, not the cancellation, when both reach
+    # the handler in one loop pass; which pass that is depends on where
+    # the request is on its way in, so sweep them.
+    for passes in range(6):
+        asyncio.run(_close_in_flight_case(passes))
+
+
+async def _close_in_flight_case(passes):
+    config, server = _served_server()
+    query = QueryServer(server, config)
+    host, port = await query.start()
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(b'{"op": "ping"}\n')
+        line = await asyncio.wait_for(reader.readline(), 5.0)
+        assert json.loads(line)["ok"] is True
+        writer.write(b'{"op": "ping"}\n')
+        for _ in range(passes):
+            await asyncio.sleep(0)
+        await asyncio.wait_for(query.close(), 5.0)
+        # Served or not, the connection ends: a reply at most, then EOF.
+        rest = await asyncio.wait_for(reader.read(), 5.0)
+        assert rest == b"" or json.loads(rest)["ok"] is True
+    finally:
+        writer.close()
