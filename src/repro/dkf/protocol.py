@@ -309,14 +309,32 @@ def _source_hash(source_id: str) -> int:
     return zlib.crc32(source_id.encode("utf-8")) & 0xFFFFFFFF
 
 
+def index_source(index: dict[int, str], source_id: str) -> int:
+    """Insert one id into a header-hash index; returns its hash.
+
+    Raises:
+        ConfigurationError: When a different id already holds the same
+            32-bit hash (the header could not name either unambiguously).
+    """
+    key = _source_hash(source_id)
+    other = index.setdefault(key, source_id)
+    if other != source_id:
+        raise ConfigurationError(
+            f"source ids {other!r} and {source_id!r} collide on "
+            f"header hash {key:#x}"
+        )
+    return key
+
+
 def build_source_index(source_ids) -> dict[int, str]:
     """Precompute the header-hash -> source-id table for :func:`decode_message`.
 
     Resolving the header hash against a plain id list is a linear scan --
     fine for a handful of sources, fatal for a 100k-source wire server
     decoding thousands of frames per second.  Receivers that decode in a
-    loop should build this index once per registration change and pass it
-    as ``decode_message``'s ``source_ids`` argument for O(1) resolution.
+    loop should build this index once (or grow it with
+    :func:`index_source` as sources register) and pass it as
+    ``decode_message``'s ``source_ids`` argument for O(1) resolution.
 
     Raises:
         ConfigurationError: When two registered ids collide on the same
@@ -324,18 +342,11 @@ def build_source_index(source_ids) -> dict[int, str]:
     """
     index: dict[int, str] = {}
     for source_id in source_ids:
-        key = _source_hash(source_id)
-        other = index.get(key)
-        if other is not None and other != source_id:
-            raise ConfigurationError(
-                f"source ids {other!r} and {source_id!r} collide on "
-                f"header hash {key:#x}"
-            )
-        index[key] = source_id
+        index_source(index, source_id)
     return index
 
 
-__all__ += ["build_source_index"]
+__all__ += ["build_source_index", "index_source"]
 
 
 def _seal(frame: bytes) -> bytes:
@@ -539,3 +550,80 @@ def _decode(
 
 
 __all__ += ["encode_message", "decode_message", "CRC_BYTES"]
+
+
+# ----------------------------------------------------------------------
+# Bulk codec (same frames, many at a time)
+# ----------------------------------------------------------------------
+#
+# A plain update of one measurement dimension is a fixed-size record, so a
+# receiver holding a batch reads their fields as numpy columns, and a
+# sender holding columns of ack fields packs them without a message
+# object each.  The CRC-32 stays per frame.
+
+
+def update_frame_dtype(measurement_dim: int) -> np.dtype:
+    """The plain update frame (tag 0x01) as a packed big-endian record."""
+    return np.dtype([
+        ("tag", "u1"), ("hash", ">u4"), ("seq", ">u4"), ("k", ">u4"),
+        ("value", ">f8", (measurement_dim,)), ("crc", ">u4"),
+    ])
+
+
+def decode_update_frames(
+    frames: list[bytes], dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read same-size update frames as one record array.
+
+    Args:
+        frames: Datagrams, each exactly ``dtype.itemsize`` bytes long.
+        dtype: The record layout from :func:`update_frame_dtype`.
+
+    Returns:
+        The records (fields ``tag``, ``hash``, ``seq``, ``k``, ``value``,
+        ``crc``) and, per frame, whether its CRC-32 trailer matches its
+        body.  The source hash is *not* resolved here.
+    """
+    timers = _CODEC_TIMERS
+    if timers is not None:
+        timers.start("codec.decode")
+    try:
+        records = np.frombuffer(b"".join(frames), dtype=dtype)
+        crc32, body = zlib.crc32, dtype.itemsize - CRC_BYTES
+        computed = np.fromiter(
+            (crc32(frame[:body]) for frame in frames),
+            dtype=np.uint32,
+            count=len(frames),
+        )
+        return records, computed == records["crc"]
+    finally:
+        if timers is not None:
+            timers.stop("codec.decode")
+
+
+_ACK_BODY = struct.Struct("!BIIIB")
+_CRC = struct.Struct("!I")
+
+
+def encode_ack_frames(hashes, seqs, ks, resync_flags) -> list[bytes]:
+    """Pack one ack frame per entry of the four equal-length columns.
+
+    Byte-identical to ``encode_message(AckMessage(...))`` for the source
+    whose header hash is given.
+    """
+    timers = _CODEC_TIMERS
+    if timers is not None:
+        timers.start("codec.encode")
+    try:
+        pack, seal, crc32 = _ACK_BODY.pack, _CRC.pack, zlib.crc32
+        frames = []
+        for fields in zip(hashes, seqs, ks, resync_flags):
+            body = pack(_TAG_ACK, *fields)
+            frames.append(body + seal(crc32(body)))
+        return frames
+    finally:
+        if timers is not None:
+            timers.stop("codec.encode")
+
+
+__all__ += ["update_frame_dtype", "decode_update_frames", "encode_ack_frames"]

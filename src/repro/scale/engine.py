@@ -450,7 +450,7 @@ class BatchStreamEngine:
                 self._server_clock = self._ticks
             for shard in self._router.shards:
                 if self._server_down:
-                    shard._ack_queue.clear()
+                    shard.core.take_acks()
                 else:
                     shard.flush_acks()
             self._run_watchdog()
@@ -573,7 +573,7 @@ class BatchStreamEngine:
                 rows, policy.symmetry_tol, policy.psd_tol
             )
             staleness = np.maximum(
-                0, self._server_clock - shard.last_contact[rows]
+                0, self._server_clock - shard.core.last_contact[rows]
             )
             for i, row_i in enumerate(rows):
                 row = int(row_i)
@@ -589,7 +589,7 @@ class BatchStreamEngine:
                         faults.append("covariance_not_psd")
                     if battery["trace"][i] > policy.trace_ceiling:
                         faults.append("covariance_trace_ceiling")
-                window = shard.nis_windows[row]
+                window = shard.core.nis_windows[row]
                 if window:
                     if float(window[-1]) > policy.nis_hard_limit:
                         faults.append("nis_spike")
@@ -611,7 +611,7 @@ class BatchStreamEngine:
                     if shard.mirror.is_primed(row):
                         shard.resync_requested[row] = True
                 elif action == "reprime":
-                    shard.reprime_row(row)
+                    shard.core.reprime_row(row)
                     if shard.mirror.is_primed(row):
                         shard.resync_requested[row] = True
                 # "quarantine": answers() reads the watchdog rung.
@@ -775,58 +775,27 @@ class BatchStreamEngine:
 
     def stats(self, source_id: str) -> dict[str, int | bool]:
         """Per-source protocol counters (``DKFServer.stats`` shape)."""
-        shard, row = self._locate(source_id)
-        return {
-            "updates_received": int(shard.updates_received[row]),
-            "resyncs_received": int(shard.resyncs_received[row]),
-            "heartbeats_received": int(shard.heartbeats_received[row]),
-            "gaps_detected": int(shard.gaps_detected[row]),
-            "duplicates_ignored": int(shard.duplicates_ignored[row]),
-            "rejected_nonfinite": int(shard.rejected_nonfinite[row]),
-            "desynced": bool(shard.desynced[row]),
-            "last_k": int(shard.last_k[row]),
-            "last_contact": int(shard.last_contact[row]),
-            "expected_seq": int(shard.expected_seq[row]),
-        }
+        shard, _ = self._locate(source_id)
+        return shard.core.stats(source_id)
 
     def value(self, source_id: str) -> np.ndarray:
         """The server's current best value for a source."""
-        shard, row = self._locate(source_id)
-        if not shard.has_answer[row]:
-            raise UnknownSourceError(
-                f"source {source_id!r} has not delivered its priming update"
-            )
-        return shard.answer[row].copy()
+        shard, _ = self._locate(source_id)
+        return shard.core.value(source_id)
 
     def forecast(self, source_id: str, steps: int) -> np.ndarray:
         """Extrapolate a source's measurements ``steps`` instants ahead.
 
         Returns the same ``(steps, m)`` horizon as
-        :meth:`repro.dkf.server.DKFServer.forecast`; each entry comes from
-        the bank's memoised endpoint form.
+        :meth:`repro.dkf.server.DKFServer.forecast`.
         """
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        shard, row = self._locate(source_id)
-        if not shard.server.is_primed(row):
-            raise UnknownSourceError(
-                f"source {source_id!r} has not delivered its priming update"
-            )
-        rows = np.array([row])
-        out = np.empty((steps, shard.model.measurement_dim))
-        for i in range(steps):
-            out[i] = shard.server.forecast_k(rows, i + 1)[0]
-        return out
+        shard, _ = self._locate(source_id)
+        return shard.core.forecast(source_id, steps)
 
     def confidence(self, source_id: str) -> float:
         """``delta / (delta + sigma)`` from the coasting covariance."""
-        shard, row = self._locate(source_id)
-        if not shard.server.is_primed(row):
-            return 0.0
-        s = shard.server.innovation_covariance(np.array([row]))[0]
-        sigma = float(np.sqrt(max(np.max(np.diag(s)), 0.0)))
-        delta = shard.configs[row].min_delta
-        return delta / (delta + sigma)
+        shard, _ = self._locate(source_id)
+        return shard.core.confidence(source_id)
 
     def answers(self) -> list[QueryAnswer]:
         """Current answers for every active query (scalar semantics)."""
@@ -839,7 +808,7 @@ class BatchStreamEngine:
             if shard.retired[row] or not shard.server.is_primed(row):
                 continue
             staleness = max(
-                0, self._server_clock - int(shard.last_contact[row])
+                0, self._server_clock - int(shard.core.last_contact[row])
             )
             if self._tel.enabled:
                 self._tel.observe(
@@ -851,13 +820,13 @@ class BatchStreamEngine:
                 QueryAnswer(
                     query_id=query.query_id,
                     source_id=query.source_id,
-                    k=int(shard.last_k[row]),
-                    value=tuple(float(v) for v in shard.answer[row]),
+                    k=int(shard.core.last_k[row]),
+                    value=tuple(float(v) for v in shard.core.answer[row]),
                     precision=shard.configs[row].min_delta,
                     staleness_ticks=staleness,
                     confidence=self.confidence(query.source_id),
                     degraded=(
-                        staleness > int(shard.suspect_after[row])
+                        staleness > int(shard.core.suspect_after[row])
                         or self._server_down
                     ),
                     quarantined=(
@@ -910,7 +879,7 @@ class BatchStreamEngine:
             "tick": self._ticks,
             "server_clock": self._server_clock,
             "sources": {
-                shard.ids[row]: shard.export_row(row)
+                shard.ids[row]: shard.core.export_row(row)
                 for shard, row in self._live_rows()
             },
             "meta": {"recoveries": self._recoveries},
@@ -947,10 +916,10 @@ class BatchStreamEngine:
         self._server_clock = 0
         for shard in self._router.shards:
             shard.dropped_while_down = 0
-            shard._ack_queue.clear()
+            shard.core.take_acks()
             for row in range(shard.rows):
                 if not shard.retired[row]:
-                    shard._reset_server_row(row, register_clock=0)
+                    shard.core.reset_row(row, last_contact=0)
         snapshot = self._ckpt.load() if self._ckpt is not None else None
         restored = 0
         if snapshot is not None:
@@ -958,7 +927,7 @@ class BatchStreamEngine:
                 where = self._where.get(source_id)
                 if where is None or where[0].retired[where[1]]:
                     continue
-                where[0].import_row(where[1], data)
+                where[0].core.import_row(where[1], data)
                 restored += 1
         replayed = self._replay_wal() if self._ckpt is not None else 0
         # Roll forward: the mirror predicted once per sampled instant
@@ -969,17 +938,17 @@ class BatchStreamEngine:
             ):
                 continue
             behind = shard.mirror.k_row(row) - shard.server.k_row(row)
-            last_k = int(shard.last_k[row])
+            last_k = int(shard.core.last_k[row])
             for i in range(max(0, behind)):
                 shard.server_tick_row(row, last_k + i + 1)
         self._server_clock = max(self._server_clock, self._ticks)
         for shard in self._router.shards:
-            shard._ack_queue.clear()
+            shard.core.take_acks()
         resyncs = 0
         for shard, row in self._live_rows():
             if not shard.mirror.is_primed(row):
                 continue
-            if int(shard.seq_next[row]) != int(shard.expected_seq[row]):
+            if int(shard.seq_next[row]) != int(shard.core.expected_seq[row]):
                 shard.resync_requested[row] = True
                 resyncs += 1
         self._recoveries += 1
@@ -1007,7 +976,7 @@ class BatchStreamEngine:
                 continue
             shard, row = where
             k = int(record["k"])
-            last_k = int(shard.last_k[row])
+            last_k = int(shard.core.last_k[row])
             for t in range(last_k + 1, k + 1):
                 shard.server_tick_row(row, t)
             self._server_clock = max(self._server_clock, k)

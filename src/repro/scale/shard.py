@@ -1,12 +1,17 @@
 """Shard runtime: the DKF protocol state machine over array-of-streams.
 
-A shard holds every per-stream quantity of the scalar engine --
-sequence numbers, pending-ack buffers, link counters, server
-expectations, answers -- as parallel numpy arrays over N homogeneous
-rows (same model signature), plus two :class:`VectorKalmanBank`
-instances for the mirror (source-side) and server-side filter banks.
-One :meth:`ShardRuntime.step` call advances every row one sampling
-instant with a handful of batched array operations.
+A shard holds every per-stream quantity of the scalar engine as
+parallel numpy arrays over N homogeneous rows (same model signature).
+It owns the *source* half itself -- stream cursors, sequence numbers,
+pending-ack buffers, the mirror :class:`VectorKalmanBank` -- and the
+simulated link between the halves (loss/corruption predicates, link
+counters, WAL hook).  The *server* half -- sequence expectations,
+liveness, protocol counters, answers, the ``KF_s`` bank, the ack outbox
+-- is a :class:`~repro.scale.core.ServerCore` (``shard.core``; its bank
+is ``shard.server``), the same object the wire server runs, so the
+bank-side receive rules exist once.  One :meth:`ShardRuntime.step` call
+advances every row one sampling instant with a handful of batched array
+operations.
 
 Semantic parity with the scalar stack is the design constraint, not an
 afterthought; each phase below names the scalar code it mirrors
@@ -31,25 +36,26 @@ shard pays the slow path only for the rows that are actually unhealthy.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.dkf.config import DKFConfig, TransportPolicy
 from repro.dkf.protocol import HeartbeatMessage, ResyncMessage, UpdateMessage
 from repro.errors import ConfigurationError
 from repro.filters.models import StateSpaceModel
-from repro.scale.vector_bank import VectorKalmanBank, require_static_model
+from repro.scale.core import ServerCore
+from repro.scale.vector_bank import (
+    VectorKalmanBank,
+    model_signature,
+    require_static_model,
+)
 from repro.streams.base import StreamRecord
 
 __all__ = ["ShardRuntime", "ShardRouter", "model_signature"]
 
-#: Server-side NIS window length (matches ``DKFServer``'s deque maxlen).
-NIS_WINDOW = 16
-
 _UPDATE, _RESYNC, _HEARTBEAT = 0, 1, 2
 
-#: Per-row int64 state arrays (order irrelevant; used for subset/split).
+#: Per-row int64 state arrays of the source half and the link (order
+#: irrelevant; used for subset/split).
 _ROW_INTS = (
     "pos", "m_k", "seq_next", "last_send",
     "samples_seen", "updates_sent", "readings_rejected",
@@ -57,34 +63,13 @@ _ROW_INTS = (
     "offered", "delivered", "lost", "corrupted",
     "link_resyncs", "link_heartbeats",
     "acks_offered", "acks_delivered", "bytes_delivered",
-    "expected_seq", "last_k", "last_contact",
-    "updates_received", "resyncs_received", "heartbeats_received",
-    "gaps_detected", "duplicates_ignored", "rejected_nonfinite",
-    "consec_rejects", "hb_interval", "suspect_after",
+    "consec_rejects", "hb_interval",
 )
 #: Per-row bool state arrays.
 _ROW_BOOLS = (
-    "has_last", "desynced", "resync_requested", "exhausted", "retired",
-    "lossy", "has_pending", "has_answer", "resync_prime",
+    "has_last", "resync_requested", "exhausted", "retired",
+    "lossy", "has_pending", "resync_prime",
 )
-
-
-def model_signature(model: StateSpaceModel) -> tuple:
-    """Hashable batching key: rows with equal signatures share a shard.
-
-    Two models batch together exactly when every filter matrix is
-    byte-identical (same F/H/Q/R values and shapes) and any custom
-    initializer is the same object.  Time-varying models have no
-    signature -- they cannot batch.
-    """
-    require_static_model(model)
-    parts: list = [model.state_dim, model.measurement_dim]
-    for name in ("phi", "h", "q", "r"):
-        a = np.ascontiguousarray(np.asarray(getattr(model, name), dtype=float))
-        parts.append((a.shape, a.tobytes()))
-    if model.initializer is not None:
-        parts.append(id(model.initializer))
-    return tuple(parts)
 
 
 class ShardRuntime:
@@ -104,7 +89,7 @@ class ShardRuntime:
         self.model = model
         self.track_health = track_health
         self.mirror = VectorKalmanBank(model)
-        self.server = VectorKalmanBank(model)
+        self.core = ServerCore(model, track_health)
         self.n = model.state_dim
         self.m = model.measurement_dim
         # Wire frame sizes are constant across a homogeneous shard.
@@ -115,14 +100,11 @@ class ShardRuntime:
         ).size_bytes
         self.heartbeat_bytes = HeartbeatMessage("_", 0, 0).size_bytes
 
-        self.ids: list[str] = []
-        self.index: dict[str, int] = {}
         self.policies: list[TransportPolicy] = []
         self.configs: list[DKFConfig] = []
         self.streams: list[np.ndarray] = []
         self.stream_ts: list[np.ndarray] = []
         self.pending: list[dict[int, tuple[int, int]]] = []
-        self.nis_windows: list[deque | None] = []
         self.loss_fns: dict[int, object] = {}
         self.corrupt_fns: dict[int, object] = {}
         self.crash_rows: set[int] = set()
@@ -133,7 +115,6 @@ class ShardRuntime:
         # by the worker so the parent's autoscaler can keep its latency
         # models fed across process boundaries.
         self.last_step_us: float | None = None
-        self._ack_queue: list[tuple[int, int, bool]] = []
         self._padded: np.ndarray | None = None
         self._pad_ts: np.ndarray | None = None
         self.lengths = np.zeros(0, dtype=np.int64)
@@ -144,7 +125,6 @@ class ShardRuntime:
             setattr(self, name, np.zeros(0, dtype=bool))
         self.delta = np.zeros((0, self.m))
         self.last_value = np.zeros((0, self.m))
-        self.answer = np.zeros((0, self.m))
 
     # ------------------------------------------------------------------
     # Row management
@@ -153,7 +133,22 @@ class ShardRuntime:
     @property
     def rows(self) -> int:
         """Number of stream pairs in this shard."""
-        return len(self.ids)
+        return self.core.rows
+
+    @property
+    def ids(self) -> list[str]:
+        """Row -> source id (the core's registration order)."""
+        return self.core.ids
+
+    @property
+    def index(self) -> dict[str, int]:
+        """Source id -> row."""
+        return self.core.index
+
+    @property
+    def server(self) -> VectorKalmanBank:
+        """The server-side ``KF_s`` bank (live object, owned by the core)."""
+        return self.core.bank
 
     def add_row(
         self,
@@ -170,8 +165,6 @@ class ShardRuntime:
         if source_id in self.index:
             raise ConfigurationError(f"row {source_id!r} already in shard")
         row = self.rows
-        self.ids.append(source_id)
-        self.index[source_id] = row
         self.policies.append(policy)
         self.configs.append(config)
         v = np.asarray(values, dtype=float)
@@ -185,9 +178,6 @@ class ShardRuntime:
         self.streams.append(v)
         self.stream_ts.append(np.asarray(timestamps, dtype=float))
         self.pending.append({})
-        self.nis_windows.append(
-            deque(maxlen=NIS_WINDOW) if self.track_health else None
-        )
         self._padded = None
 
         for name in _ROW_INTS:
@@ -206,15 +196,13 @@ class ShardRuntime:
         self.last_value = np.concatenate(
             [self.last_value, np.zeros((1, self.m))]
         )
-        self.answer = np.concatenate([self.answer, np.zeros((1, self.m))])
 
         self.m_k[row] = -1
-        self.last_k[row] = -1
-        self.last_contact[row] = register_clock
         self.hb_interval[row] = policy.heartbeat_interval_ticks
-        self.suspect_after[row] = policy.suspect_after_ticks
         self.mirror.add_row(config.p0_scale)
-        self.server.add_row(config.p0_scale)
+        self.core.add_rows(
+            [source_id], config, policy, last_contact=register_clock
+        )
         if loss_fn is not None or corrupt_fn is not None:
             self.set_link_faults(row, loss_fn, corrupt_fn)
         return row
@@ -243,7 +231,8 @@ class ShardRuntime:
         self.delta[row] = config.delta_vector()
         self._reset_source_row(row, now=0)
         self.last_send[row] = 0
-        self._reset_server_row(row, register_clock)
+        self.core.min_delta[row] = config.min_delta
+        self.core.reset_row(row, register_clock)
         self.resync_prime[row] = False
         self.restart_pending.discard(row)
 
@@ -263,23 +252,6 @@ class ShardRuntime:
             "src_retransmits", "heartbeats_sent",
         ):
             getattr(self, name)[row] = 0
-
-    def _reset_server_row(self, row: int, register_clock: int) -> None:
-        """Fresh ``DKFServer.register`` state for one row."""
-        self.server.reset_row(row)
-        self.expected_seq[row] = 0
-        self.last_k[row] = -1
-        self.last_contact[row] = register_clock
-        self.desynced[row] = False
-        self.has_answer[row] = False
-        self.answer[row] = 0.0
-        for name in (
-            "updates_received", "resyncs_received", "heartbeats_received",
-            "gaps_detected", "duplicates_ignored", "rejected_nonfinite",
-        ):
-            getattr(self, name)[row] = 0
-        if self.nis_windows[row] is not None:
-            self.nis_windows[row].clear()
 
     def _ensure_padded(self) -> None:
         if self._padded is not None:
@@ -315,6 +287,7 @@ class ShardRuntime:
         mirror suppression decision, sends, transport poll, ack flush.
         """
         self._ensure_padded()
+        self.core.clock = now
         down = np.zeros(self.rows, dtype=bool)
 
         # -- Phase A: crash/restart faults (affected rows only) ----------
@@ -333,7 +306,7 @@ class ShardRuntime:
                 if faults.is_down(sid, now) or row in self.restart_pending:
                     down[row] = True
                     if not server_down and self.server.is_primed(row):
-                        self._server_tick(np.array([row]), now)
+                        self.core.tick(np.array([row]), now)
                     if faults.is_terminal(sid, now):
                         self.exhausted[row] = True
 
@@ -363,7 +336,7 @@ class ShardRuntime:
 
             # -- Phase C: server tick at each row's sampling instant -----
             if not server_down:
-                self._server_tick(read_rows, k_rows)
+                self.core.tick(read_rows, k_rows)
 
             # -- Phase D: mirror sample (reject / prime / suppress) ------
             finite = np.isfinite(z).all(axis=1)
@@ -410,41 +383,6 @@ class ShardRuntime:
         return processed
 
     # ------------------------------------------------------------------
-    # Server-side batched operations
-    # ------------------------------------------------------------------
-
-    def _server_tick(self, rows: np.ndarray, k) -> None:
-        """``DKFServer.tick`` per row: clock the state, coast if primed."""
-        self.last_k[rows] = k
-        primed = self.server.primed
-        coasting = rows[primed[rows]]
-        if coasting.size:
-            self.server.predict(coasting)
-            self.answer[coasting] = self.server.measurement(coasting)
-
-    def _observe_nis(self, rows: np.ndarray, z: np.ndarray) -> None:
-        """``DKFServer._observe_nis``: batched y^T S^-1 y per row."""
-        if not self.track_health or rows.size == 0:
-            return
-        innovation = z - self.server.measurement(rows)
-        s = self.server.innovation_covariance(rows)
-        try:
-            sol = np.linalg.solve(s, innovation[..., None])[..., 0]
-            nis = np.einsum("ri,ri->r", innovation, sol)
-        except np.linalg.LinAlgError:
-            nis = np.empty(rows.size)
-            for i in range(rows.size):
-                try:
-                    nis[i] = float(
-                        innovation[i]
-                        @ np.linalg.solve(s[i], innovation[i])
-                    )
-                except np.linalg.LinAlgError:
-                    nis[i] = np.inf
-        for i, row in enumerate(rows):
-            self.nis_windows[row].append(float(nis[i]))
-
-    # ------------------------------------------------------------------
     # Sends
     # ------------------------------------------------------------------
 
@@ -479,7 +417,9 @@ class ShardRuntime:
             seqs = self.seq_next[upd_rows].copy()
             self.seq_next[upd_rows] += 1
             self.updates_sent[upd_rows] += 1
-            fast = fastable[upd_rows] & (seqs == self.expected_seq[upd_rows])
+            fast = fastable[upd_rows] & (
+                seqs == self.core.expected_seq[upd_rows]
+            )
             f_rows, f_z, f_seq = upd_rows[fast], z_upd[fast], seqs[fast]
             if f_rows.size:
                 self._fast_apply_updates(f_rows, f_z, f_seq, now, wal)
@@ -519,39 +459,47 @@ class ShardRuntime:
         self.has_pending[row] = True
         self.last_send[row] = now
 
+    def _deliver(
+        self, kind: int, rows, seqs, ks, z, wal, x=None, p=None
+    ) -> None:
+        """Hand delivered messages to the core; log what it applied.
+
+        The acks the core queues are settled by :meth:`flush_acks` at
+        the end of the step.
+        """
+        if kind == _UPDATE:
+            applied = self.core.apply_updates(rows, seqs, ks, z)
+        else:
+            applied = self.core.apply_resyncs(rows, seqs, ks, z, x, p)
+        if wal is None:
+            return
+        count = len(rows)
+        z = np.asarray(z, dtype=float).reshape(count, self.m)
+        if kind == _RESYNC:
+            x = np.reshape(x, (count, self.n))
+            p = np.reshape(p, (count, self.n, self.n))
+        for i in np.flatnonzero(applied):
+            record = {
+                "kind": "update" if kind == _UPDATE else "resync",
+                "source_id": self.ids[int(rows[i])],
+                "seq": int(seqs[i]),
+                "k": int(ks[i]),
+                "value": z[i].tolist(),
+            }
+            if kind == _RESYNC:
+                record["x"] = x[i].tolist()
+                record["p"] = p[i].tolist()
+            wal(record)
+
     def _fast_apply_updates(
         self, rows, z, seqs, now: int, wal
     ) -> None:
-        """Lossless same-step delivery + apply + ack for update rows."""
+        """Lossless same-step delivery + apply for update rows."""
         self.offered[rows] += 1
         self.delivered[rows] += 1
         self.bytes_delivered[rows] += self.update_bytes
-        self.last_contact[rows] = now
         self.last_send[rows] = now
-        primed = self.server.primed
-        new_mask = ~primed[rows]
-        if new_mask.any():
-            self.server.prime(rows[new_mask], z[new_mask])
-        seasoned = rows[~new_mask]
-        if seasoned.size:
-            self._observe_nis(seasoned, z[~new_mask])
-            self.server.update(seasoned, z[~new_mask])
-        self.answer[rows] = z
-        self.has_answer[rows] = True
-        self.updates_received[rows] += 1
-        self.expected_seq[rows] = seqs + 1
-        self.last_k[rows] = self.m_k[rows]
-        self.acks_offered[rows] += 1
-        self.acks_delivered[rows] += 1
-        if wal is not None:
-            for i, row in enumerate(rows):
-                wal({
-                    "kind": "update",
-                    "source_id": self.ids[int(row)],
-                    "seq": int(seqs[i]),
-                    "k": int(self.m_k[row]),
-                    "value": z[i].tolist(),
-                })
+        self._deliver(_UPDATE, rows, seqs, self.m_k[rows], z, wal)
 
     def _fast_apply_resyncs(self, rows, z, seqs, now: int, wal) -> None:
         """Lossless same-step delivery of resync-prime snapshots."""
@@ -559,33 +507,11 @@ class ShardRuntime:
         self.link_resyncs[rows] += 1
         self.delivered[rows] += 1
         self.bytes_delivered[rows] += self.resync_bytes
-        self.last_contact[rows] = now
         self.last_send[rows] = now
-        x = self.mirror._x[rows]
-        p = self.mirror._p[rows]
-        self.server.set_state(rows, x, p)
-        self.answer[rows] = z
-        self.has_answer[rows] = True
-        self.expected_seq[rows] = seqs + 1
-        self.resyncs_received[rows] += 1
-        self.desynced[rows] = False
-        self.last_k[rows] = self.m_k[rows]
-        for row in rows:
-            if self.nis_windows[row] is not None:
-                self.nis_windows[row].clear()
-        self.acks_offered[rows] += 1
-        self.acks_delivered[rows] += 1
-        if wal is not None:
-            for i, row in enumerate(rows):
-                wal({
-                    "kind": "resync",
-                    "source_id": self.ids[int(row)],
-                    "seq": int(seqs[i]),
-                    "k": int(self.m_k[row]),
-                    "value": z[i].tolist(),
-                    "x": x[i].tolist(),
-                    "p": p[i].tolist(),
-                })
+        self._deliver(
+            _RESYNC, rows, seqs, self.m_k[rows], z, wal,
+            x=self.mirror._x[rows], p=self.mirror._p[rows],
+        )
 
     def _send_slow(
         self,
@@ -603,8 +529,8 @@ class ShardRuntime:
         """One message through the full fabric + server receive path.
 
         Mirrors ``NetworkFabric.send`` (offered index, kind counters
-        before loss, loss then corruption, bytes on delivery) and
-        ``DKFServer.receive`` (touch, gap/dup bookkeeping, apply, ack).
+        before loss, loss then corruption, bytes on delivery); what
+        the link delivers is received by the core.
         """
         index = int(self.offered[row])
         self.offered[row] += 1
@@ -631,69 +557,10 @@ class ShardRuntime:
         if server_down:
             self.dropped_while_down += 1
             return
-        self.last_contact[row] = now
         if kind == _HEARTBEAT:
-            self.heartbeats_received[row] += 1
-            return
-        if kind == _UPDATE:
-            expected = int(self.expected_seq[row])
-            if seq < expected:
-                self.duplicates_ignored[row] += 1
-                self._ack_queue.append((row, expected, False))
-                return
-            if seq > expected:
-                self.desynced[row] = True
-                self.gaps_detected[row] += 1
-                self._ack_queue.append((row, expected, True))
-                return
-            arr = np.array([row], dtype=np.intp)
-            zv = np.asarray(value, dtype=float)[None, :]
-            if not self.server.is_primed(row):
-                self.server.prime(arr, zv)
-            else:
-                self._observe_nis(arr, zv)
-                self.server.update(arr, zv)
-            self.answer[row] = value
-            self.has_answer[row] = True
-            self.updates_received[row] += 1
-            self.expected_seq[row] = seq + 1
-            self.last_k[row] = k
-            self._ack_queue.append((row, seq + 1, False))
-            if wal is not None:
-                wal({
-                    "kind": "update",
-                    "source_id": self.ids[row],
-                    "seq": seq,
-                    "k": k,
-                    "value": np.asarray(value, dtype=float).tolist(),
-                })
-            return
-        # Resync: full state injection, applied regardless of seq.
-        arr = np.array([row], dtype=np.intp)
-        self.server.set_state(
-            arr,
-            np.asarray(x, dtype=float)[None, :],
-            np.asarray(p, dtype=float)[None, :, :],
-        )
-        self.answer[row] = value
-        self.has_answer[row] = True
-        self.expected_seq[row] = seq + 1
-        self.resyncs_received[row] += 1
-        self.desynced[row] = False
-        self.last_k[row] = k
-        if self.nis_windows[row] is not None:
-            self.nis_windows[row].clear()
-        self._ack_queue.append((row, seq + 1, False))
-        if wal is not None:
-            wal({
-                "kind": "resync",
-                "source_id": self.ids[row],
-                "seq": seq,
-                "k": k,
-                "value": np.asarray(value, dtype=float).tolist(),
-                "x": np.asarray(x, dtype=float).tolist(),
-                "p": np.asarray(p, dtype=float).tolist(),
-            })
+            self.core.heartbeats(row)
+        else:
+            self._deliver(kind, [row], [seq], [k], value, wal, x=x, p=p)
 
     # ------------------------------------------------------------------
     # Transport poll
@@ -767,22 +634,27 @@ class ShardRuntime:
             if server_down:
                 self.dropped_while_down += int(hb_fast.size)
             else:
-                self.heartbeats_received[hb_fast] += 1
-                self.last_contact[hb_fast] = now
+                self.core.heartbeats(hb_fast)
 
     def flush_acks(self) -> None:
-        """Deliver queued acks (end of step, like ``fabric.send_ack``)."""
-        for row, ack_seq, resync_flag in self._ack_queue:
-            self.acks_offered[row] += 1
-            self.acks_delivered[row] += 1
+        """Deliver the core's queued acks (end of step, ``fabric.send_ack``)."""
+        rows, ack_seqs, _, resync_flags = self.core.take_acks()
+        if not rows.size:
+            return
+        acked = np.bincount(rows, minlength=self.rows)
+        self.acks_offered += acked
+        self.acks_delivered += acked
+        # Only a row with an armed pending entry or a resync request has
+        # anything to settle; a fast row's ack is a counter and no more.
+        for i in np.flatnonzero(self.has_pending[rows] | resync_flags):
+            row = int(rows[i])
             pend = self.pending[row]
             if pend:
-                for seq in [s for s in pend if s < ack_seq]:
+                for seq in [s for s in pend if s < ack_seqs[i]]:
                     del pend[seq]
                 self.has_pending[row] = bool(pend)
-            if resync_flag:
+            if resync_flags[i]:
                 self.resync_requested[row] = True
-        self._ack_queue.clear()
 
     def pending_acks(self) -> int:
         """Total armed pending-ack entries (settle loop predicate)."""
@@ -792,164 +664,72 @@ class ShardRuntime:
     # Checkpoint / recovery support
     # ------------------------------------------------------------------
 
-    def export_row(self, row: int) -> dict:
-        """``DKFServer.export_source_state`` shape for one row."""
-        return {
-            "expected_seq": int(self.expected_seq[row]),
-            "k": int(self.last_k[row]),
-            "last_contact": int(self.last_contact[row]),
-            "updates_received": int(self.updates_received[row]),
-            "resyncs_received": int(self.resyncs_received[row]),
-            "heartbeats_received": int(self.heartbeats_received[row]),
-            "gaps_detected": int(self.gaps_detected[row]),
-            "duplicates_ignored": int(self.duplicates_ignored[row]),
-            "rejected_nonfinite": int(self.rejected_nonfinite[row]),
-            "desynced": bool(self.desynced[row]),
-            "answer": (
-                self.answer[row].tolist() if self.has_answer[row] else None
-            ),
-            "filter": self.server.export_row(row),
-        }
-
-    def import_row(self, row: int, data: dict) -> None:
-        """``DKFServer.import_source_state`` for one row."""
-        self.expected_seq[row] = int(data["expected_seq"])
-        self.last_k[row] = int(data["k"])
-        self.last_contact[row] = int(data["last_contact"])
-        self.updates_received[row] = int(data["updates_received"])
-        self.resyncs_received[row] = int(data["resyncs_received"])
-        self.heartbeats_received[row] = int(data["heartbeats_received"])
-        self.gaps_detected[row] = int(data["gaps_detected"])
-        self.duplicates_ignored[row] = int(data["duplicates_ignored"])
-        self.rejected_nonfinite[row] = int(data["rejected_nonfinite"])
-        self.desynced[row] = bool(data["desynced"])
-        answer = data.get("answer")
-        if answer is not None:
-            self.answer[row] = np.asarray(answer, dtype=float)
-            self.has_answer[row] = True
-        filt = data.get("filter")
-        if filt is not None:
-            self.server.import_row(row, filt)
-
     def replay_apply(
         self, row: int, kind: str, seq: int, k: int, value, x=None, p=None
     ) -> None:
-        """WAL replay: the receive half only (no fabric, no acks).
+        """WAL replay: the receive half only (no fabric, acks discarded).
 
         The caller interleaves the prediction ticks; ``last_contact``
         lands on the record's sampling instant exactly like the scalar
         replay's ``advance_clock(k)`` + zero-latency delivery.
         """
-        self.last_contact[row] = k
-        arr = np.array([row], dtype=np.intp)
-        zv = np.asarray(value, dtype=float)[None, :]
+        self.core.clock = k
         if kind == "resync":
-            self.server.set_state(
-                arr,
-                np.asarray(x, dtype=float)[None, :],
-                np.asarray(p, dtype=float)[None, :, :],
-            )
-            self.answer[row] = zv[0]
-            self.has_answer[row] = True
-            self.expected_seq[row] = seq + 1
-            self.resyncs_received[row] += 1
-            self.desynced[row] = False
-            self.last_k[row] = k
-            if self.nis_windows[row] is not None:
-                self.nis_windows[row].clear()
-            return
-        expected = int(self.expected_seq[row])
-        if seq < expected:
-            self.duplicates_ignored[row] += 1
-            return
-        if seq > expected:
-            self.desynced[row] = True
-            self.gaps_detected[row] += 1
-            return
-        if not self.server.is_primed(row):
-            self.server.prime(arr, zv)
+            self.core.apply_resyncs([row], [seq], [k], value, x, p)
         else:
-            self._observe_nis(arr, zv)
-            self.server.update(arr, zv)
-        self.answer[row] = zv[0]
-        self.has_answer[row] = True
-        self.updates_received[row] += 1
-        self.expected_seq[row] = seq + 1
-        self.last_k[row] = k
+            self.core.apply_updates([row], [seq], [k], value)
+        self.core.take_acks()
 
     def server_tick_row(self, row: int, k: int) -> None:
         """Single-row server tick (WAL replay / recovery roll-forward)."""
-        self._server_tick(np.array([row], dtype=np.intp), k)
-
-    def reprime_row(self, row: int) -> None:
-        """``DKFServer.reprime``: re-anchor a wedged filter's covariance."""
-        arr = np.array([row], dtype=np.intp)
-        x = self.server.x_row(row)
-        p0 = np.eye(self.n)[None] * self.configs[row].p0_scale
-        if np.isfinite(x).all():
-            self.server.set_state(arr, x[None, :], p0)
-        else:
-            seed = (
-                self.answer[row].copy()
-                if self.has_answer[row]
-                and np.isfinite(self.answer[row]).all()
-                else np.zeros(self.m)
-            )
-            keep_k = self.server.k_row(row)
-            self.server.prime(arr, seed[None, :])
-            self.server.set_clock(arr, keep_k)
-            if not (
-                self.has_answer[row]
-                and np.isfinite(self.answer[row]).all()
-            ):
-                self.answer[row] = self.server.measurement(arr)[0]
-                self.has_answer[row] = True
-        if self.nis_windows[row] is not None:
-            self.nis_windows[row].clear()
+        self.core.tick(np.array([row], dtype=np.intp), k)
 
     # ------------------------------------------------------------------
     # Splitting (DRS-style rebalance)
     # ------------------------------------------------------------------
 
+    def _assemble(self, shard_id: str, mirror, core, parts) -> ShardRuntime:
+        """A new runtime over the given banks holding ``(shard, rows)`` parts.
+
+        Every piece of per-row state -- transport counters, pending
+        retransmission buffers, fault predicates, crash/sensor/restart
+        sets -- is carried across verbatim, row indices renumbered.
+        """
+        out = ShardRuntime(shard_id, self.model, self.track_health)
+        out.mirror, out.core = mirror, core
+        for part, rows in parts:
+            for old in rows.tolist():
+                new_i = len(out.policies)
+                out.policies.append(part.policies[old])
+                out.configs.append(part.configs[old])
+                out.streams.append(part.streams[old])
+                out.stream_ts.append(part.stream_ts[old])
+                out.pending.append(dict(part.pending[old]))
+                if old in part.loss_fns:
+                    out.loss_fns[new_i] = part.loss_fns[old]
+                if old in part.corrupt_fns:
+                    out.corrupt_fns[new_i] = part.corrupt_fns[old]
+                if old in part.crash_rows:
+                    out.crash_rows.add(new_i)
+                if old in part.sensor_rows:
+                    out.sensor_rows.add(new_i)
+                if old in part.restart_pending:
+                    out.restart_pending.add(new_i)
+        for name in (*_ROW_INTS, *_ROW_BOOLS, "delta", "last_value"):
+            setattr(out, name, np.concatenate(
+                [getattr(part, name)[rows] for part, rows in parts]
+            ))
+        return out
+
     def subset(self, rows: np.ndarray, shard_id: str) -> "ShardRuntime":
         """A new runtime holding copies of ``rows`` (in the given order)."""
         rows = np.asarray(rows, dtype=np.intp)
-        out = ShardRuntime(shard_id, self.model, self.track_health)
-        out.mirror = self.mirror.take_rows(rows)
-        out.server = self.server.take_rows(rows)
-        out.dropped_while_down = 0
-        for new_i, old in enumerate(rows):
-            old = int(old)
-            out.ids.append(self.ids[old])
-            out.index[self.ids[old]] = new_i
-            out.policies.append(self.policies[old])
-            out.configs.append(self.configs[old])
-            out.streams.append(self.streams[old])
-            out.stream_ts.append(self.stream_ts[old])
-            out.pending.append(dict(self.pending[old]))
-            out.nis_windows.append(
-                deque(self.nis_windows[old], maxlen=NIS_WINDOW)
-                if self.nis_windows[old] is not None
-                else None
-            )
-            if old in self.loss_fns:
-                out.loss_fns[new_i] = self.loss_fns[old]
-            if old in self.corrupt_fns:
-                out.corrupt_fns[new_i] = self.corrupt_fns[old]
-            if old in self.crash_rows:
-                out.crash_rows.add(new_i)
-            if old in self.sensor_rows:
-                out.sensor_rows.add(new_i)
-            if old in self.restart_pending:
-                out.restart_pending.add(new_i)
-        for name in _ROW_INTS:
-            setattr(out, name, getattr(self, name)[rows].copy())
-        for name in _ROW_BOOLS:
-            setattr(out, name, getattr(self, name)[rows].copy())
-        out.delta = self.delta[rows].copy()
-        out.last_value = self.last_value[rows].copy()
-        out.answer = self.answer[rows].copy()
-        return out
+        return self._assemble(
+            shard_id,
+            self.mirror.take_rows(rows),
+            self.core.take_rows(rows),
+            [(self, rows)],
+        )
 
     def split(self) -> tuple["ShardRuntime", "ShardRuntime"]:
         """Split into two halves (latency budget breached)."""
@@ -966,11 +746,8 @@ class ShardRuntime:
         """State-preserving inverse of :meth:`split`.
 
         Returns a new runtime holding this shard's rows followed by
-        ``other``'s, with every piece of per-row state -- filter banks,
-        transport counters, pending retransmission buffers, NIS
-        windows, fault predicates, crash/sensor/restart sets, queued
-        acks -- carried across verbatim (row indices renumbered).  A
-        merged shard continues exactly where the two parts left off,
+        ``other``'s, filter banks, NIS windows and queued acks included.
+        A merged shard continues exactly where the two parts left off,
         including rows mid-way through slow-path loss recovery.
         """
         if other is self:
@@ -988,61 +765,15 @@ class ShardRuntime:
             raise ConfigurationError(
                 f"duplicate rows across merge: {sorted(overlap)}"
             )
-        out = ShardRuntime(
+        out = self._assemble(
             shard_id or f"{self.shard_id}+{other.shard_id}",
-            self.model,
-            self.track_health,
+            self.mirror.concat(other.mirror),
+            self.core.concat(other.core),
+            [(self, np.arange(self.rows)), (other, np.arange(other.rows))],
         )
-        out.mirror = self.mirror.concat(other.mirror)
-        out.server = self.server.concat(other.server)
         out.dropped_while_down = (
             self.dropped_while_down + other.dropped_while_down
         )
-        base = 0
-        for part in (self, other):
-            for old in range(part.rows):
-                new_i = base + old
-                out.ids.append(part.ids[old])
-                out.index[part.ids[old]] = new_i
-                out.policies.append(part.policies[old])
-                out.configs.append(part.configs[old])
-                out.streams.append(part.streams[old])
-                out.stream_ts.append(part.stream_ts[old])
-                out.pending.append(dict(part.pending[old]))
-                out.nis_windows.append(
-                    deque(part.nis_windows[old], maxlen=NIS_WINDOW)
-                    if part.nis_windows[old] is not None
-                    else None
-                )
-                if old in part.loss_fns:
-                    out.loss_fns[new_i] = part.loss_fns[old]
-                if old in part.corrupt_fns:
-                    out.corrupt_fns[new_i] = part.corrupt_fns[old]
-                if old in part.crash_rows:
-                    out.crash_rows.add(new_i)
-                if old in part.sensor_rows:
-                    out.sensor_rows.add(new_i)
-                if old in part.restart_pending:
-                    out.restart_pending.add(new_i)
-            out._ack_queue.extend(
-                (row + base, seq, ok) for row, seq, ok in part._ack_queue
-            )
-            base += part.rows
-        for name in _ROW_INTS:
-            setattr(
-                out, name,
-                np.concatenate(
-                    [getattr(self, name), getattr(other, name)]
-                ).astype(np.int64),
-            )
-        for name in _ROW_BOOLS:
-            setattr(
-                out, name,
-                np.concatenate([getattr(self, name), getattr(other, name)]),
-            )
-        out.delta = np.concatenate([self.delta, other.delta])
-        out.last_value = np.concatenate([self.last_value, other.last_value])
-        out.answer = np.concatenate([self.answer, other.answer])
         return out
 
 

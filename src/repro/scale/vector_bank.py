@@ -36,7 +36,7 @@ from repro.errors import (
 from repro.filters.kalman import phi_power
 from repro.filters.models import StateSpaceModel
 
-__all__ = ["VectorKalmanBank", "require_static_model"]
+__all__ = ["VectorKalmanBank", "model_signature", "require_static_model"]
 
 #: PSD tolerance matching :func:`repro.filters.kalman.check_covariance`.
 _PSD_TOL = 1e-9
@@ -53,10 +53,28 @@ def require_static_model(model: StateSpaceModel) -> None:
             )
 
 
+def model_signature(model: StateSpaceModel) -> tuple:
+    """Hashable batching key: rows with equal signatures share a bank.
+
+    Two models batch together exactly when every filter matrix is
+    byte-identical (same F/H/Q/R values and shapes) and any custom
+    initializer is the same object.  Time-varying models have no
+    signature -- they cannot batch.
+    """
+    require_static_model(model)
+    parts: list = [model.state_dim, model.measurement_dim]
+    for name in ("phi", "h", "q", "r"):
+        a = np.ascontiguousarray(np.asarray(getattr(model, name), dtype=float))
+        parts.append((a.shape, a.tobytes()))
+    if model.initializer is not None:
+        parts.append(id(model.initializer))
+    return tuple(parts)
+
+
 class VectorKalmanBank:
     """Batched Kalman filters over one shared state-space model.
 
-    Rows are appended with :meth:`add_row` and addressed by integer index
+    Rows are appended with :meth:`add_rows` and addressed by integer index
     everywhere else.  All mutating methods take a ``rows`` index array and
     touch only those rows (the masked-update path), so a tick where only a
     handful of streams transmitted pays correction cost for exactly that
@@ -154,20 +172,64 @@ class VectorKalmanBank:
         """Whether the row has absorbed its priming measurement."""
         return bool(self._primed[row])
 
+    def p0_row(self, row: int) -> np.ndarray:
+        """One row's configured initial covariance ``I * p0_scale``."""
+        return self._eye * self._p0_scale[row]
+
+    def innovation_covariance_row(self, row: int) -> np.ndarray:
+        """``S = (H P) H^T + R`` of one row, by scalar indexing.
+
+        The by-id read path (one query, one source) calls this; it is
+        the scalar filter's contraction order on a plain ``(n, n)``
+        matrix, without the one-element index arrays of the batched
+        form.
+        """
+        return (self._h @ self._p[row]) @ self._h_t + self._r
+
+    def forecast_row(self, row: int, steps: int) -> np.ndarray:
+        """Measurement horizon ``(steps, m)`` of one row, no mutation.
+
+        The per-step ``phi x`` loop of :meth:`KalmanFilter.forecast`,
+        so a bank row and a scalar filter in the same state forecast
+        the same bits.
+        """
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        x = self._x[row].copy()
+        out = np.empty((steps, self._m))
+        for i in range(steps):
+            x = self._phi @ x
+            out[i] = self._h @ x
+        return out
+
     # ------------------------------------------------------------------
     # Row management
     # ------------------------------------------------------------------
 
-    def add_row(self, p0_scale: float = 1.0) -> int:
-        """Append an unprimed row; returns its index."""
+    def add_rows(self, count: int, p0_scale: float = 1.0) -> int:
+        """Append ``count`` unprimed rows in one allocation.
+
+        Returns the index of the first new row.
+        """
         if p0_scale <= 0:
             raise ConfigurationError("p0_scale must be positive")
-        self._x = np.concatenate([self._x, np.zeros((1, self._n))])
-        self._p = np.concatenate([self._p, np.zeros((1, self._n, self._n))])
-        self._k = np.concatenate([self._k, np.zeros(1, dtype=np.int64)])
-        self._primed = np.concatenate([self._primed, np.zeros(1, dtype=bool)])
-        self._p0_scale = np.concatenate([self._p0_scale, [float(p0_scale)]])
-        return self.rows - 1
+        first = self.rows
+        self._x = np.concatenate([self._x, np.zeros((count, self._n))])
+        self._p = np.concatenate(
+            [self._p, np.zeros((count, self._n, self._n))]
+        )
+        self._k = np.concatenate([self._k, np.zeros(count, dtype=np.int64)])
+        self._primed = np.concatenate(
+            [self._primed, np.zeros(count, dtype=bool)]
+        )
+        self._p0_scale = np.concatenate(
+            [self._p0_scale, np.full(count, float(p0_scale))]
+        )
+        return first
+
+    def add_row(self, p0_scale: float = 1.0) -> int:
+        """Append one unprimed row; returns its index."""
+        return self.add_rows(1, p0_scale)
 
     def reset_row(self, row: int) -> None:
         """Return a row to the unprimed state (source restart)."""

@@ -150,8 +150,8 @@ class AsyncRuntime(Scheduler):
             query API then reports quarantine).  Registering 100k
             sources with a watchdog is feasible but rarely worth the
             per-tick checks at soak scale.
-        dkf_telemetry: Optional handle for the server's per-source DKF
-            counters (small fleets only; see :class:`WireServer`).
+        dkf_telemetry: Optional handle for the server core's label-free
+            counters and apply spans (see :class:`WireServer`).
         chaos: Optional chaos coordinator (:class:`~repro.wire.chaos.
             ChaosCoordinator`).  When given, its ``install`` hook runs
             once the sockets are open (shapers, fuzzers) and its
@@ -400,19 +400,11 @@ class AsyncRuntime(Scheduler):
             self._tel.emit("wire.restart", at_tick=self.ticks_run)
 
     def _close_books(self) -> None:
-        dkf = self.server.dkf
-        primed = 0
-        suspects = 0
-        for source_id in self.fleet.source_ids:
-            if dkf.is_primed(source_id):
-                primed += 1
-            if dkf.liveness(source_id)["suspect"]:
-                suspects += 1
-        self.primed = primed
-        self.suspects = suspects
+        self.primed = self.server.dkf.primed_count()
+        self.suspects = self.server.dkf.suspect_count()
         if self._tel.enabled:
-            self._tel.gauge("wire_primed_sources", float(primed))
-            self._tel.gauge("wire_suspect_sources", float(suspects))
+            self._tel.gauge("wire_primed_sources", float(self.primed))
+            self._tel.gauge("wire_suspect_sources", float(self.suspects))
             self._tel.sample_now()
 
     # Query-load probe -----------------------------------------------------

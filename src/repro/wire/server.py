@@ -1,16 +1,16 @@
 """The UDP-facing server half of the wire runtime.
 
-A :class:`WireServer` wraps the sans-IO :class:`~repro.dkf.server.
-DKFServer` (tolerant mode, ack outbox on) with the real-socket plumbing:
-a batch-draining UDP receiver feeding a :class:`~repro.resilience.
-supervisor.BoundedInbox`, event-driven apply, ack datagrams flowing back
-to each source's last seen address, and socket-level backpressure -- the
-inbox depth feeds the PR-3 :class:`~repro.resilience.supervisor.
-OverloadController` exactly the way the tick engine's drain loop does,
-and the resulting δ-scale changes are handed to the runtime's
-control-plane callback (in the soak harness the fleet is co-located, so
-the callback applies them directly; a deployed fleet would receive them
-out-of-band).
+A :class:`WireServer` wraps the sans-IO :class:`~repro.scale.core.
+ServerCore` (one ``KF_s`` bank row per source, tolerant delivery, ack
+outbox) with the real-socket plumbing: a batch-draining UDP receiver
+feeding a :class:`~repro.resilience.supervisor.BoundedInbox`,
+event-driven apply, ack datagrams flowing back to each source's last
+seen address, and socket-level backpressure -- the inbox depth feeds the
+PR-3 :class:`~repro.resilience.supervisor.OverloadController` exactly
+the way the tick engine's drain loop does, and the resulting δ-scale
+changes are handed to the runtime's control-plane callback (in the soak
+harness the fleet is co-located, so the callback applies them directly;
+a deployed fleet would receive them out-of-band).
 
 Event-driven apply, periodic housekeeping.  The receive callback does
 nothing but enqueue (the inbox is the single admission point) and arm a
@@ -23,6 +23,18 @@ a query waits for is the stretch the loop does not yield.  The tick
 (:meth:`WireServer.process_tick`) keeps what is genuinely periodic: the
 liveness clock, the ``drain_per_tick`` apply allowance refill, the
 overload step and the inbox gauge.
+
+What a slice does with a batch (docs/WIRE.md §2).  Plain update frames
+(tag 0x01) of the bank's measurement dimension are fixed-size records;
+each maximal run of them is decoded in bulk, resolved hash -> row and
+handed to the core as arrays -- one batched filter correction per run.
+Every other frame goes one at a time through
+:meth:`WireServer._apply_datagram`: resyncs, heartbeats and digest
+updates, which are rare, and whatever a run turns up as corrupt,
+unknown or from the future, which the poison ledger books by reason.
+A run is applied before the frame that ends it, so each source's
+frames take effect in arrival order; the slice's acks are packed from
+the core's ``(row, seq, k, flag)`` columns and sent when it ends.
 """
 
 from __future__ import annotations
@@ -33,13 +45,17 @@ import struct
 import time
 from collections.abc import Callable
 
+import numpy as np
+
 from repro.dkf.config import DKFConfig, TransportPolicy
 from repro.dkf.protocol import (
-    build_source_index,
+    AckMessage,
     decode_message,
-    encode_message,
+    decode_update_frames,
+    encode_ack_frames,
+    index_source,
+    update_frame_dtype,
 )
-from repro.dkf.server import DKFServer
 from repro.errors import ConfigurationError, CorruptMessageError
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.resilience.checkpoint import CHECKPOINT_SCHEMA
@@ -48,6 +64,7 @@ from repro.resilience.supervisor import (
     OverloadController,
     OverloadPolicy,
 )
+from repro.scale.core import ServerCore
 from repro.wire.config import WireConfig
 from repro.wire.datagram import (
     SLICE_BUDGET_S,
@@ -63,10 +80,12 @@ __all__ = ["WireServer"]
 #: the weight a new slice's measurement gets in the running estimate.
 _SERVICE_SEED_S = 50e-6
 _SERVICE_ALPHA = 0.2
+#: PROTOCOL.md §5 type tag of a plain (digest-less) update frame.
+_TAG_UPDATE = 0x01
 
 
 class WireServer:
-    """Datagram front-end over a tolerant :class:`DKFServer`.
+    """Datagram front-end over a bank-backed :class:`ServerCore`.
 
     Args:
         config: The wire runtime configuration.
@@ -75,14 +94,18 @@ class WireServer:
             layer reads its quarantine rung.
         on_scales: Control-plane callback invoked with the overload
             controller's ``{source_id: delta_scale}`` changes.
-        dkf_telemetry: Telemetry handle for the *inner* DKF server.
-            Defaults to the null handle, deliberately separate from the
-            wire-level ``telemetry``: the DKF server labels its apply
-            counters per source, which at soak scale (100k sources)
-            means 100k+ instruments each sampled into history every
-            tick.  The wire layer's own counters are label-free and
-            stay cheap at any fleet size; pass a real handle here only
-            for small fleets where per-source detail is worth it.
+        dkf_telemetry: Telemetry handle for the *inner* server core
+            (``server_applies_total`` and friends, the
+            ``wire.apply_slice`` / ``core.apply_updates`` spans).
+            Separate from the wire-level ``telemetry`` so the two
+            accounts can be switched on independently; the core's
+            counters are label-free and incremented by batch size, so
+            the handle costs the same at any fleet size.
+
+    Attributes:
+        dkf: The server core (``receive`` / ``advance_clock`` / by-id
+            reads, the ``DKFServer`` surface the query layer and the
+            drills use).  :meth:`restore` replaces the object.
     """
 
     def __init__(
@@ -95,11 +118,8 @@ class WireServer:
     ) -> None:
         self._config = config
         self._tel = telemetry or NULL_TELEMETRY
-        self.dkf = DKFServer(
-            strict=False,
-            emit_acks=True,
-            telemetry=dkf_telemetry or NULL_TELEMETRY,
-        )
+        self._dkf_telemetry = dkf_telemetry or NULL_TELEMETRY
+        self.dkf = ServerCore(telemetry=self._dkf_telemetry)
         self.watchdog = watchdog
         self._on_scales = on_scales
         self.counters = WireCounters()
@@ -111,13 +131,17 @@ class WireServer:
             ),
             telemetry=self._tel,
         )
+        # Header hash -> source id (what the codec resolves against), and
+        # per row the hash back (what an ack frame carries) and the
+        # address the source was last heard from.
         self._index: dict[int, str] = {}
-        self._addrs: dict[str, tuple] = {}
+        self._hashes: list[int] = []
+        self._addrs: dict[int, tuple] = {}
+        self._update_frame = None
         self._state_dim = config.state_dim
         self._sock: socket.socket | None = None
         self._receiver: BatchDatagramReceiver | None = None
         self._send_shaper = None
-        self._dkf_telemetry = dkf_telemetry or NULL_TELEMETRY
         self._fleet_dkf_config: DKFConfig | None = None
         self._fleet_transport: TransportPolicy | None = None
         self.poison = PoisonLedger(self._tel)
@@ -127,6 +151,7 @@ class WireServer:
         self._service_s = _SERVICE_SEED_S
         self._longest_slice_s = 0.0
         self._slices = self._applied = self._reported = self._exhausted = 0
+        self._bank_applied = 0
 
     # Lifecycle ------------------------------------------------------------
 
@@ -221,12 +246,8 @@ class WireServer:
         transport: TransportPolicy | None = None,
         priority: int = 0,
     ) -> None:
-        """Install one source: filter slot, hash index, shed tracking."""
-        self.dkf.register(source_id, config, transport)
-        self._overload.register(source_id, priority, config.min_delta)
-        self._index = build_source_index(self.dkf.source_ids)
-        if self.watchdog is not None:
-            self.watchdog.register(source_id)
+        """Install one source: bank row, hash index, shed tracking."""
+        self._install([source_id], config, transport, priority)
 
     def register_fleet(
         self,
@@ -234,7 +255,7 @@ class WireServer:
         config: DKFConfig,
         transport: TransportPolicy | None = None,
     ) -> None:
-        """Bulk registration; rebuilds the hash index once at the end.
+        """Bulk registration: one allocation per core array.
 
         The fleet's DKF config and transport policy are retained so
         :meth:`restore` can re-register the same fleet bit-identically
@@ -242,12 +263,21 @@ class WireServer:
         """
         self._fleet_dkf_config = config
         self._fleet_transport = transport
+        self._install(list(source_ids), config, transport, 0)
+
+    def _install(self, source_ids, config, transport, priority) -> None:
+        """Index, allocate and track ``source_ids``: linear in their count."""
+        hashes = [index_source(self._index, s) for s in source_ids]
+        self.dkf.add_rows(source_ids, config, transport)
+        self._hashes.extend(hashes)
+        if self._update_frame is None:  # one model per bank, so one layout
+            self._update_frame = update_frame_dtype(
+                self.dkf.bank.measurement_dim
+            )
         for source_id in source_ids:
-            self.dkf.register(source_id, config, transport)
-            self._overload.register(source_id, 0, config.min_delta)
+            self._overload.register(source_id, priority, config.min_delta)
             if self.watchdog is not None:
                 self.watchdog.register(source_id)
-        self._index = build_source_index(self.dkf.source_ids)
 
     # Receive path ---------------------------------------------------------
 
@@ -276,23 +306,24 @@ class WireServer:
         # The clock is read a quarter-budget apart at the measured rate.
         stride = max(1, int(SLICE_BUDGET_S / (4 * self._service_s)))
         applied = 0
-        while self._allowance > 0:
-            batch = self._inbox.drain(min(stride, self._allowance))
-            if not batch:
-                break
-            for data, addr in batch:
-                self._apply_datagram(data, addr)
-            applied += len(batch)
-            self._allowance -= len(batch)
-            if clock() - started >= SLICE_BUDGET_S:
-                break
-        self._flush_acks()
+        with self._dkf_telemetry.timers.span("wire.apply_slice"):
+            while self._allowance > 0:
+                batch = self._inbox.drain(min(stride, self._allowance))
+                if not batch:
+                    break
+                self._apply_batch(batch)
+                applied += len(batch)
+                self._allowance -= len(batch)
+                if clock() - started >= SLICE_BUDGET_S:
+                    break
+            self._flush_acks()
         elapsed = clock() - started
         self._slices += 1
         self._applied += applied
-        self._service_s += _SERVICE_ALPHA * (
-            elapsed / applied - self._service_s
-        )
+        if applied:  # an armed slice can find the inbox already emptied
+            self._service_s += _SERVICE_ALPHA * (
+                elapsed / applied - self._service_s
+            )
         self._longest_slice_s = max(self._longest_slice_s, elapsed)
         if self._allowance == 0 and self._inbox.depth:
             self._exhausted += 1
@@ -331,10 +362,63 @@ class WireServer:
         return {
             "slices": self._slices,
             "datagrams_applied": self._applied,
+            "bank_applied": self._bank_applied,
             "service_us_ewma": round(self._service_s * 1e6, 2),
             "longest_slice_ms": round(self._longest_slice_s * 1e3, 3),
             "allowance_exhausted": self._exhausted,
         }
+
+    def _apply_batch(self, batch: list[tuple[bytes, tuple]]) -> None:
+        """Apply drained datagrams in arrival order, runs of updates in bulk."""
+        frame = self._update_frame
+        size = -1 if frame is None else frame.itemsize  # no bank, no runs
+        start = 0
+        for i, (data, _) in enumerate(batch):
+            if len(data) != size or data[0] != _TAG_UPDATE:
+                if start < i:
+                    self._apply_run(batch[start:i])
+                self._apply_datagram(*batch[i])
+                start = i + 1
+        if start < len(batch):
+            self._apply_run(batch[start:])
+
+    def _apply_run(self, run: list[tuple[bytes, tuple]]) -> None:
+        """One batched apply for a run of plain update frames.
+
+        A frame that fails a check (CRC, unregistered hash, sampling
+        instant far past the clock) touches no source state, so it can
+        be taken out of the run and rejected by the one-by-one path,
+        which books it under its reason.
+        """
+        records, intact = decode_update_frames(
+            [data for data, _ in run], self._update_frame
+        )
+        id_of, row_of = self._index.get, self.dkf.index.get
+        rows = np.fromiter(
+            (row_of(id_of(key), -1) for key in records["hash"].tolist()),
+            dtype=np.intp,
+            count=len(run),
+        )
+        ks = records["k"].astype(np.int64)
+        good = (
+            intact
+            & (rows >= 0)
+            & (ks <= self.dkf.clock + self._config.max_future_ticks)
+        )
+        seqs, z = records["seq"], records["value"]
+        if not good.all():
+            for i in np.flatnonzero(~good):
+                self._apply_datagram(*run[i])
+            run = [run[i] for i in np.flatnonzero(good)]
+            rows, seqs, ks, z = rows[good], seqs[good], ks[good], z[good]
+            if not run:
+                return
+        self.counters.frames_decoded += len(run)
+        self._bank_applied += len(run)
+        if self._tel.enabled:
+            self._tel.count("wire_frames_decoded_total", amount=len(run))
+        self._addrs.update(zip(rows.tolist(), (addr for _, addr in run)))
+        self.dkf.apply_updates(rows, seqs, ks, z)
 
     def _apply_datagram(self, data: bytes, addr: tuple) -> None:
         counters = self.counters
@@ -349,26 +433,43 @@ class WireServer:
                 self._tel.count("wire_frames_corrupt_total")
             return
         except (ConfigurationError, ValueError, struct.error):
+            message = None
+        row = self._receivable_row(message)
+        if row is None or (
+            message.k > self.dkf.clock + self._config.max_future_ticks
+        ):
+            # Unresolvable or malformed, or an intact CRC with a sampling
+            # instant far past the server's clock (a forged or
+            # replayed-from-the-future frame, not a straggler).
+            # Conservation-wise both land in the unknown bucket; the
+            # ledger records the sharper reason.
             counters.frames_unknown += 1
-            self.poison.reject("unknown")
-            if self._tel.enabled:
-                self._tel.count("wire_frames_unknown_total")
-            return
-        if message.k > self.dkf.clock + self._config.max_future_ticks:
-            # Intact CRC but a sampling instant far past the server's
-            # clock: a forged or replayed-from-the-future frame, not a
-            # straggler.  Conservation-wise it lands in the unknown
-            # bucket; the ledger records the sharper reason.
-            counters.frames_unknown += 1
-            self.poison.reject("future_epoch")
+            self.poison.reject("unknown" if row is None else "future_epoch")
             if self._tel.enabled:
                 self._tel.count("wire_frames_unknown_total")
             return
         counters.frames_decoded += 1
         if self._tel.enabled:
             self._tel.count("wire_frames_decoded_total")
-        self._addrs[message.source_id] = addr
+        self._addrs[row] = addr
         self.dkf.receive(message)
+
+    def _receivable_row(self, message) -> int | None:
+        """The row of a frame the core can take, None for anything else.
+
+        An ack is not a frame a source sends, and a payload of another
+        measurement dimension cannot have come from a mirror of this
+        bank's model: intact frames that resolve to nothing.
+        """
+        if message is None or isinstance(message, AckMessage):
+            return None
+        row = self.dkf.index.get(message.source_id)
+        value = getattr(message, "value", None)
+        if row is not None and value is not None and (
+            len(value) != self.dkf.bank.measurement_dim
+        ):
+            return None
+        return row
 
     def flush_inbox(self) -> int:
         """Decode and apply *everything* queued, ignoring the allowance.
@@ -376,11 +477,14 @@ class WireServer:
         The drain path's inbox flush: after :meth:`stop_receiving`, the
         inbox is finite and this empties it synchronously so the
         checkpoint cut sees every datagram the runtime ever accepted.
+        A pending slice is cancelled (it would find nothing to do).
         Returns the number of datagrams applied.
         """
+        if self._slice is not None:
+            self._slice.cancel()
+            self._slice = None
         batch = self._inbox.drain(self._inbox.depth)
-        for data, addr in batch:
-            self._apply_datagram(data, addr)
+        self._apply_batch(batch)
         self._flush_acks()
         return len(batch)
 
@@ -422,15 +526,19 @@ class WireServer:
             self._raw_send(payload, addr)
 
     def _flush_acks(self) -> None:
-        """Encode and send every queued ack to its source's last address."""
-        acks = self.dkf.take_outbox()
-        if not acks or self._sock is None:
+        """Pack and send every queued ack to its source's last address."""
+        rows, seqs, ks, flags = self.dkf.take_acks()
+        if not rows.size or self._sock is None:
             return
-        for ack in acks:
-            addr = self._addrs.get(ack.source_id)
-            if addr is None:
-                continue
-            self._send(encode_message(ack), addr)
+        rows = rows.tolist()
+        hashes = self._hashes
+        frames = encode_ack_frames(
+            [hashes[row] for row in rows],
+            seqs.tolist(), ks.tolist(), flags.tolist(),
+        )
+        for addr, frame in zip(map(self._addrs.get, rows), frames):
+            if addr is not None:
+                self._send(frame, addr)
 
     # Checkpoint / restore -------------------------------------------------
 
@@ -452,7 +560,7 @@ class WireServer:
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Rebuild the inner DKF server bit-identically from a snapshot.
+        """Rebuild the inner server core bit-identically from a snapshot.
 
         Requires a prior :meth:`register_fleet` (the fleet's DKF config
         and transport policy are not in the snapshot, matching the PR-3
@@ -464,19 +572,15 @@ class WireServer:
             raise ConfigurationError(
                 "restore requires a prior register_fleet"
             )
-        dkf = DKFServer(
-            strict=False,
-            emit_acks=True,
-            telemetry=self._dkf_telemetry,
-        )
-        for source_id, state in snapshot["sources"].items():
-            dkf.register(
-                source_id, self._fleet_dkf_config, self._fleet_transport
-            )
-            dkf.import_source_state(source_id, state)
+        sources = snapshot["sources"]
+        dkf = ServerCore(telemetry=self._dkf_telemetry)
+        dkf.add_rows(sources, self._fleet_dkf_config, self._fleet_transport)
+        for row, state in enumerate(sources.values()):
+            dkf.import_row(row, state)
         dkf.advance_clock(int(snapshot["server_clock"]))
         self.dkf = dkf
-        self._index = build_source_index(self.dkf.source_ids)
+        self._index = {}
+        self._hashes = [index_source(self._index, s) for s in dkf.ids]
         # A genuinely restarted process would not remember peer
         # addresses; drop them so acks only flow once a source has
         # re-contacted this incarnation (its next frame carries addr).

@@ -148,6 +148,7 @@ def summarise(config: WireConfig, runtime: AsyncRuntime) -> dict:
             "query_p50_ms": report["query_p50_ms"],
             "query_p99_ms": report["query_p99_ms"],
             "query_max_ms": report["query_max_ms"],
+            "apply": report["server"]["apply"],
         },
         "gates": gates,
     }

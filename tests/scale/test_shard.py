@@ -125,7 +125,7 @@ def test_split_preserves_rows_and_state():
             shard.server.p_row(shard.index[sid]).copy(),
             int(shard.samples_seen[shard.index[sid]]),
             int(shard.updates_sent[shard.index[sid]]),
-            int(shard.expected_seq[shard.index[sid]]),
+            int(shard.core.expected_seq[shard.index[sid]]),
         )
         for sid in shard.ids
     }
@@ -141,7 +141,7 @@ def test_split_preserves_rows_and_state():
             np.testing.assert_array_equal(part.server.p_row(row), p)
             assert part.samples_seen[row] == seen
             assert part.updates_sent[row] == sent
-            assert part.expected_seq[row] == expected
+            assert part.core.expected_seq[row] == expected
 
 
 def test_split_halves_continue_like_the_whole():
@@ -225,16 +225,16 @@ def test_split_mid_loss_recovery_matches_unsplit_control():
         )
         # No update lost or double-applied anywhere on the recovery
         # path: sequence space, retransmit and resync counters agree.
-        assert whole.expected_seq[row_w] == part.expected_seq[row_p]
+        assert whole.core.expected_seq[row_w] == part.core.expected_seq[row_p]
         assert whole.updates_sent[row_w] == part.updates_sent[row_p]
         assert whole.link_resyncs[row_w] == part.link_resyncs[row_p]
-        assert whole.gaps_detected[row_w] == part.gaps_detected[row_p]
+        assert whole.core.gaps_detected[row_w] == part.core.gaps_detected[row_p]
         assert (
-            whole.duplicates_ignored[row_w]
-            == part.duplicates_ignored[row_p]
+            whole.core.duplicates_ignored[row_w]
+            == part.core.duplicates_ignored[row_p]
         )
     # Recovery actually completed: the lossy row re-synced.
-    assert not whole.desynced[whole.index["s1"]]
+    assert not whole.core.desynced[whole.index["s1"]]
 
 
 def test_merge_mid_loss_recovery_matches_unsplit_control():
@@ -268,13 +268,13 @@ def test_merge_mid_loss_recovery_matches_unsplit_control():
         np.testing.assert_array_equal(
             whole.server.x_row(row_w), merged.server.x_row(row_m)
         )
-        assert whole.expected_seq[row_w] == merged.expected_seq[row_m]
+        assert whole.core.expected_seq[row_w] == merged.core.expected_seq[row_m]
         assert whole.updates_sent[row_w] == merged.updates_sent[row_m]
         assert whole.link_resyncs[row_w] == merged.link_resyncs[row_m]
         assert (
             whole.bytes_delivered[row_w] == merged.bytes_delivered[row_m]
         )
-    assert not merged.desynced[lossy_row]
+    assert not merged.core.desynced[lossy_row]
 
 
 def test_merge_rejects_incompatible_shards():
@@ -289,12 +289,12 @@ def test_merge_rejects_incompatible_shards():
 def test_export_import_row_round_trip():
     shard = _shard(rows=3, ticks=60, seed=2)
     _drive(shard, 30)
-    payload = shard.export_row(1)
+    payload = shard.core.export_row(1)
     assert payload is not None
     other = _shard(rows=3, ticks=60, seed=2)
-    other.import_row(1, payload)
+    other.core.import_row(1, payload)
     np.testing.assert_array_equal(
         other.server.x_row(1), shard.server.x_row(1)
     )
-    assert other.expected_seq[1] == shard.expected_seq[1]
-    assert other.last_k[1] == shard.last_k[1]
+    assert other.core.expected_seq[1] == shard.core.expected_seq[1]
+    assert other.core.last_k[1] == shard.core.last_k[1]

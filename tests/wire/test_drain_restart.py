@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.dkf.config import DKFConfig
-from repro.dkf.protocol import UpdateMessage
+from repro.dkf.protocol import UpdateMessage, encode_message
 from repro.errors import ConfigurationError
 from repro.filters.models import constant_model
 from repro.resilience.checkpoint import validate_checkpoint
@@ -93,10 +93,31 @@ def test_restore_requires_registered_fleet():
 def test_restore_forgets_peer_addresses():
     # A restarted process would not remember where sources live; acks
     # must wait for each source's next frame to re-learn its address.
+    asyncio.run(_acks_across_a_restore())
+
+
+async def _acks_across_a_restore():
+    def update(seq: int) -> UpdateMessage:
+        return UpdateMessage(source_id="a", seq=seq, k=5, value=np.array([0.5]))
+
     server = _loaded_server()
-    server._addrs["a"] = ("127.0.0.1", 50000)
-    server.restore(server.checkpoint_snapshot(5))
-    assert server._addrs == {}
+    sent: list[tuple] = []
+    server.install_send_shaper(lambda payload, addr, send: sent.append(addr))
+    server.open(asyncio.get_running_loop())
+    try:
+        server._on_datagram(encode_message(update(5)), ("127.0.0.1", 50000))
+        server.flush_inbox()
+        assert sent == [("127.0.0.1", 50000)]
+        server.restore(server.checkpoint_snapshot(5))
+        # The restored state still produces an ack for "a" ...
+        server.dkf.receive(update(6))
+        server.flush_inbox()
+        assert len(sent) == 1  # ... with nowhere to send it,
+        server._on_datagram(encode_message(update(7)), ("127.0.0.1", 50001))
+        server.flush_inbox()
+        assert sent[1:] == [("127.0.0.1", 50001)]  # until "a" is heard from.
+    finally:
+        server.close()
 
 
 class _DrillCoordinator:

@@ -354,6 +354,45 @@ async def _lifecycle():
         server.close()
 
 
+def test_flush_inbox_disarms_the_pending_slice():
+    asyncio.run(_flush_under_an_armed_slice())
+
+
+async def _flush_under_an_armed_slice():
+    # The armed slice used to survive flush_inbox(), find the queue
+    # empty and divide its elapsed time by zero datagrams -- inside a
+    # loop callback, so the loop's exception handler is the tripwire.
+    loop = asyncio.get_running_loop()
+    loop_errors: list[dict] = []
+    loop.set_exception_handler(
+        lambda _, context: loop_errors.append(context)
+    )
+    config = WireConfig(sources=1, ticks=4, ramp_ticks=1)
+    server = WireServer(config)
+    client = open_udp_socket("127.0.0.1", 0)
+    try:
+        endpoint = server.open(loop)
+        server.register("s0", DKF_CONFIG)
+        await asyncio.wait_for(server.process_tick(1), AWAIT_S)
+        await _queue_without_applying(
+            server, client, endpoint, [_update("s0", 0, 1, 1.0)]
+        )
+        assert server.flush_inbox() == 1
+        assert server._slice is None
+        await asyncio.sleep(0.02)
+        assert loop_errors == []
+        assert server.counters.frames_decoded == 1
+        # A slice with nothing to apply leaves the service estimate alone.
+        before = server.apply_stats()
+        server._run_slice()
+        after = server.apply_stats()
+        assert after["service_us_ewma"] == before["service_us_ewma"]
+        assert after["datagrams_applied"] == before["datagrams_applied"]
+    finally:
+        client.close()
+        server.close()
+
+
 # Clock before offer ---------------------------------------------------------
 
 
