@@ -825,10 +825,7 @@ def _run_chaos_federation(args: argparse.Namespace) -> int:
     telemetry.slo.install_defaults(federation=True)
     cluster, victim, island, mid_partition, finals = drill(telemetry)
     report = cluster.report()
-    orphans = sorted(
-        s for s in truth
-        if cluster._home_epoch[s] > 0
-    )
+    orphans = sorted(s for s in truth if cluster.home_epoch(s) > 0)
     failures: list[str] = []
 
     answered = {row[0] for row in finals}

@@ -50,7 +50,10 @@ from repro.filters.kalman import KalmanFilter
 from repro.obs.events import trace_id
 from repro.obs.telemetry import NULL_TELEMETRY
 
-__all__ = ["DKFServer", "ServerSourceState"]
+__all__ = ["DKFServer", "ServerSourceState", "NIS_WINDOW"]
+
+#: Sliding-window length of the per-source NIS health signal.
+NIS_WINDOW = 16
 
 
 @dataclass
@@ -115,7 +118,6 @@ class DKFServer:
             records its normalised innovation squared (NIS) in a bounded
             per-source window for the divergence watchdog.  Off by
             default so unwatched servers pay nothing.
-        nis_window: Sliding-window length for the NIS health signal.
     """
 
     def __init__(
@@ -124,7 +126,6 @@ class DKFServer:
         emit_acks: bool = False,
         telemetry=None,
         track_health: bool = False,
-        nis_window: int = 16,
     ) -> None:
         self._sources: dict[str, ServerSourceState] = {}
         self._strict = strict
@@ -133,7 +134,6 @@ class DKFServer:
         self._outbox: list[AckMessage] = []
         self._clock = 0
         self._track_health = track_health
-        self._nis_window = nis_window
 
     def register(
         self,
@@ -149,7 +149,7 @@ class DKFServer:
             transport=transport or TransportPolicy(),
             last_contact=self._clock,
             nis_window=(
-                deque(maxlen=self._nis_window) if self._track_health else None
+                deque(maxlen=NIS_WINDOW) if self._track_health else None
             ),
         )
 

@@ -6,8 +6,9 @@ The engine wires together every substrate in the library:
 * a :class:`~repro.dsms.registry.SourceRegistry` mapping queries to
   sources and deriving each source's effective δ and F;
 * one :class:`~repro.dkf.source.DKFSource` per registered source (the
-  sensor side) and a single shared :class:`~repro.dkf.server.DKFServer`
-  running in tolerant, ack-emitting mode;
+  sensor side, stepped by the shared
+  :class:`~repro.dkf.stepper.SourceDriver`) and a single shared
+  :class:`~repro.dkf.server.DKFServer` in tolerant, ack-emitting mode;
 * a :class:`~repro.dsms.network.NetworkFabric` carrying updates *and*
   acks, with per-direction latency/loss/corruption;
 * an :class:`~repro.dsms.energy.EnergyModel` for per-node joule totals;
@@ -46,25 +47,20 @@ from repro.dkf.protocol import (
 )
 from repro.dkf.server import DKFServer
 from repro.dkf.source import DKFSource
+from repro.dkf.stepper import SourceDriver
 from repro.dsms.energy import EnergyModel, EnergyReport
 from repro.dsms.faults import FaultSchedule
+from repro.dsms.linkfaults import apply_latency_overrides, layer_link_faults
 from repro.dsms.network import LinkConfig, NetworkFabric
 from repro.dsms.query import ContinuousQuery, QueryAnswer
 from repro.dsms.registry import SourceRegistry
-from repro.errors import ConfigurationError, StreamExhaustedError, UnknownSourceError
+from repro.errors import ConfigurationError
 from repro.filters.models import StateSpaceModel
-from repro.obs.events import trace_id
-from repro.obs.exporters import build_snapshot
-from repro.obs.telemetry import NULL_TELEMETRY
-from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
+from repro.resilience.checkpoint import wal_record
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.supervisor import (
-    BoundedInbox,
-    OverloadController,
-    StreamSupervisor,
-)
-from repro.resilience.watchdog import DivergenceWatchdog
-from repro.streams.base import MaterializedStream, StreamCursor
+from repro.resilience.shell import ResilienceShell
+from repro.resilience.supervisor import BoundedInbox, OverloadController
+from repro.streams.base import MaterializedStream
 
 __all__ = ["StreamEngine", "EngineReport", "SERVER_NODE"]
 
@@ -143,23 +139,11 @@ class EngineReport:
             ) from None
 
 
-def _either(
-    first,
-    second,
-):
-    """Compose two optional loss predicates with OR (fault layering)."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-
-    def drop(index: int) -> bool:
-        return bool(first(index)) or bool(second(index))
-
-    return drop
+def _dead_server(source_id: str, k: int) -> None:
+    """Tick hook while the server process is down: nothing predicts."""
 
 
-class StreamEngine:
+class StreamEngine(ResilienceShell):
     """Drive many DKF pairs over their streams under one server.
 
     Args:
@@ -193,20 +177,17 @@ class StreamEngine:
         resilience: ResilienceConfig | None = None,
         autoscale: AutoscalePolicy | None = None,
     ) -> None:
+        super().__init__(telemetry, resilience)
         self.registry = SourceRegistry()
-        self._tel = telemetry or NULL_TELEMETRY
-        self._resilience = resilience
-        if resilience is not None:
-            resilience.validate()
-        self._track_health = (
-            resilience is not None and resilience.watchdog is not None
-        )
-        self._server = DKFServer(
-            strict=False,
-            emit_acks=True,
+        self._server = self._new_server()
+        self._front = SourceDriver(
+            self.registry,
+            install=self._install_server_side,
+            teardown=self._teardown_server_side,
             telemetry=self._tel,
-            track_health=self._track_health,
+            supervisor=self._supervisor,
         )
+        self._sources = self._front.sources
         self._fabric = NetworkFabric(
             # The resilient deliver path must survive the server object
             # being replaced on recovery, so it routes through a wrapper
@@ -214,7 +195,7 @@ class StreamEngine:
             deliver=(
                 self._server.receive if resilience is None else self._deliver
             ),
-            deliver_ack=self._on_ack,
+            deliver_ack=self._front.on_ack,
             telemetry=self._tel,
         )
         if self._tel.enabled:
@@ -222,44 +203,19 @@ class StreamEngine:
             # recently built observed engine wins the hook.
             instrument_codec(self._tel.timers)
         self._energy = energy_model or EnergyModel()
-        self._sources: dict[str, DKFSource] = {}
-        self._cursors: dict[str, StreamCursor] = {}
         self._links: dict[str, LinkConfig] = {}
-        self._transports: dict[str, TransportPolicy] = {}
         self._priorities: dict[str, int] = {}
-        self._ticks = 0
-        self._exhausted: set[str] = set()
-        self._faults: FaultSchedule | None = None
         self._latency_overrides: dict[str, tuple[int, int]] = {}
-        self._resync_prime: set[str] = set()
-        self._down_now: set[str] = set()
-        # Resilience state (all inert when the guards are disabled).
-        self._server_down = False
+        # Resilience state beyond the shared shell (inert when disabled).
         self._replaying = False
         self._dropped_while_down = 0
-        self._recoveries = 0
-        self._restart_pending: set[str] = set()
-        self._ckpt: CheckpointStore | None = None
-        self._watchdog: DivergenceWatchdog | None = None
-        self._supervisor: StreamSupervisor | None = None
         self._overload: OverloadController | None = None
         self._inbox: BoundedInbox | None = None
-        if resilience is not None:
-            if resilience.checkpoint_dir is not None:
-                self._ckpt = CheckpointStore(resilience.checkpoint_dir)
-            if resilience.watchdog is not None:
-                self._watchdog = DivergenceWatchdog(
-                    resilience.watchdog, telemetry=self._tel
-                )
-            if resilience.restart is not None:
-                self._supervisor = StreamSupervisor(
-                    resilience.restart, telemetry=self._tel
-                )
-            if resilience.overload is not None:
-                self._overload = OverloadController(
-                    resilience.overload, telemetry=self._tel
-                )
-                self._inbox = BoundedInbox(resilience.overload.inbox_capacity)
+        if resilience is not None and resilience.overload is not None:
+            self._overload = OverloadController(
+                resilience.overload, telemetry=self._tel
+            )
+            self._inbox = BoundedInbox(resilience.overload.inbox_capacity)
         self._autoscaler: InboxAutoscaler | None = None
         if autoscale is not None:
             autoscale.validate()
@@ -287,46 +243,6 @@ class StreamEngine:
     def sources(self) -> dict[str, DKFSource]:
         """The installed source-side DKF endpoints (live objects)."""
         return dict(self._sources)
-
-    @property
-    def ticks(self) -> int:
-        """Sampling instants processed so far."""
-        return self._ticks
-
-    @property
-    def faults(self) -> FaultSchedule | None:
-        """The injected fault schedule, if any."""
-        return self._faults
-
-    @property
-    def telemetry(self):
-        """The telemetry handle (the no-op singleton when unobserved)."""
-        return self._tel
-
-    @property
-    def resilience(self) -> ResilienceConfig | None:
-        """The installed resilience configuration, if any."""
-        return self._resilience
-
-    @property
-    def server_down(self) -> bool:
-        """Whether :meth:`crash_server` killed the server process."""
-        return self._server_down
-
-    @property
-    def checkpoint_store(self) -> CheckpointStore | None:
-        """The durable checkpoint + WAL pair (None when disabled)."""
-        return self._ckpt
-
-    @property
-    def watchdog(self) -> DivergenceWatchdog | None:
-        """The divergence watchdog (None when disabled)."""
-        return self._watchdog
-
-    @property
-    def supervisor(self) -> StreamSupervisor | None:
-        """The restart supervisor (None when disabled)."""
-        return self._supervisor
 
     @property
     def overload(self) -> OverloadController | None:
@@ -391,19 +307,12 @@ class StreamEngine:
             or after["resyncs_received"] > before["resyncs_received"]
         )
         if applied:
-            record = {
-                "kind": (
-                    "resync" if isinstance(message, ResyncMessage) else "update"
-                ),
-                "source_id": source_id,
-                "seq": int(message.seq),
-                "k": int(message.k),
-                "value": message.value.tolist(),
-            }
-            if isinstance(message, ResyncMessage):
-                record["x"] = message.x.tolist()
-                record["p"] = message.p.tolist()
-            self._ckpt.wal_append(record)
+            resync = isinstance(message, ResyncMessage)
+            self._ckpt.wal_append(wal_record(
+                "resync" if resync else "update",
+                source_id, message.seq, message.k, message.value,
+                *((message.x, message.p) if resync else ()),
+            ))
             if self._tel.enabled:
                 self._tel.count("wal_records_total", source_id)
         return result
@@ -425,13 +334,11 @@ class StreamEngine:
         the *lowest*-priority streams first, so higher numbers keep their
         precision longest.
         """
-        self.registry.register_source(
-            source_id, model, default_smoothing_r=default_smoothing_r
+        self._front.add_source(
+            source_id, model, stream, default_smoothing_r, transport
         )
-        self._cursors[source_id] = StreamCursor(stream)
         self._fabric.add_link(source_id, link)
         self._links[source_id] = link or LinkConfig()
-        self._transports[source_id] = transport or TransportPolicy()
         self._priorities[source_id] = priority
 
     def inject_faults(self, schedule: FaultSchedule) -> None:
@@ -445,38 +352,12 @@ class StreamEngine:
         schedule.reset()
         schedule.bind_telemetry(self._tel)
         self._faults = schedule
-        partitioned = (
-            schedule.partitioned_nodes() if schedule.has_partitions() else set()
+        layer_link_faults(
+            self._fabric,
+            self._links,
+            schedule,
+            ends=lambda source_id: (source_id, SERVER_NODE),
         )
-        for source_id in self._links:
-            loss = schedule.loss_fn(source_id)
-            corrupt = schedule.corrupt_fn(source_id)
-            sever = None
-            if source_id in partitioned:
-                # Severed at send: a frame offered while the cut is active
-                # is dropped (counted lost), in both directions.  The
-                # fabric gate below holds frames already in the pipe.
-                def sever(_index: int, _sid: str = source_id) -> bool:
-                    return schedule.link_severed(_sid, SERVER_NODE)
-
-            if loss is None and corrupt is None and sever is None:
-                continue
-            base = self._fabric.link_config(source_id)
-            self._fabric.reconfigure_link(
-                source_id,
-                dataclasses.replace(
-                    base,
-                    loss_fn=_either(_either(base.loss_fn, loss), sever),
-                    ack_loss_fn=_either(base.ack_loss_fn, sever),
-                    corrupt_fn=_either(base.corrupt_fn, corrupt),
-                ),
-            )
-        if partitioned:
-            self._fabric.set_gate(
-                lambda link_id, tick: not schedule.link_severed(
-                    link_id, SERVER_NODE, tick
-                )
-            )
 
     def submit_query(self, query: ContinuousQuery) -> None:
         """Activate a continuous query, (re)installing the source's DKF.
@@ -486,42 +367,16 @@ class StreamEngine:
         resets the filters, costing one priming update -- the trade the
         paper's protocol makes for simplicity).
         """
-        descriptor = self.registry.add_query(query)
-        config = descriptor.build_config()
-        existing = self._sources.get(query.source_id)
-        if existing is not None and existing.config == config:
-            return
-        self._install(query.source_id, config)
+        self._front.submit_query(query)
 
     def retire_query(self, query_id: str) -> None:
         """Deactivate a query; tear down the DKF when none remain."""
-        descriptor = self.registry.remove_query(query_id)
-        source_id = descriptor.source_id
-        if not descriptor.queries:
-            if source_id in self._sources:
-                del self._sources[source_id]
-                self._server.deregister(source_id)
-                self._exhausted.discard(source_id)
-                self._resync_prime.discard(source_id)
-                self._restart_pending.discard(source_id)
-                if self._watchdog is not None:
-                    self._watchdog.deregister(source_id)
-                if self._overload is not None:
-                    self._overload.deregister(source_id)
-            return
-        config = descriptor.build_config()
-        if self._sources[source_id].config != config:
-            self._install(source_id, config)
+        self._front.retire_query(query_id)
 
-    def _install(self, source_id: str, config) -> None:
-        transport = self._transports.get(source_id) or TransportPolicy()
-        self._sources[source_id] = DKFSource(
-            source_id, config, transport=transport, telemetry=self._tel
-        )
+    def _install_server_side(self, source_id: str, config, transport) -> None:
         if source_id in self._server.source_ids:
             self._server.deregister(source_id)
         self._server.register(source_id, config, transport=transport)
-        self._resync_prime.discard(source_id)
         if self._watchdog is not None:
             self._watchdog.register(source_id)
         if self._overload is not None:
@@ -531,11 +386,12 @@ class StreamEngine:
                 config.min_delta,
             )
 
-    def _on_ack(self, ack: AckMessage) -> None:
-        """Fabric callback: route a delivered ack to its source."""
-        source = self._sources.get(ack.source_id)
-        if source is not None:
-            source.on_ack(ack, self._ticks)
+    def _teardown_server_side(self, source_id: str) -> None:
+        self._server.deregister(source_id)
+        if self._watchdog is not None:
+            self._watchdog.deregister(source_id)
+        if self._overload is not None:
+            self._overload.deregister(source_id)
 
     def step(self) -> int:
         """Advance every queried source one sampling instant.
@@ -556,8 +412,24 @@ class StreamEngine:
         with tel.timers.span("engine.step"):
             if self._faults is not None:
                 self._faults.observe_tick(now)
-                self._apply_latency_overrides(now)
-            processed = self._step_sources(now)
+                self._latency_overrides = apply_latency_overrides(
+                    self._faults, now, self._latency_overrides,
+                    (self._fabric, self._links),
+                )
+            if self._server_down:
+                tick = coast = _dead_server
+            else:
+                tick, coast = self._server.tick, self._coast_server
+            processed = self._front.step(
+                now,
+                tick,
+                self._fabric.send,
+                faults=self._faults,
+                coast=coast,
+                on_sample=(
+                    self._note_reading if self._watchdog is not None else None
+                ),
+            )
             self._ticks += 1
             if not self._server_down:
                 self._server.advance_clock(self._ticks)
@@ -570,34 +442,18 @@ class StreamEngine:
             self._maybe_checkpoint()
         return processed
 
-    def _apply_latency_overrides(self, now: int) -> None:
-        """Apply/clear asymmetric-link latency windows (fault hook).
+    def _coast_server(self, source_id: str, now: int) -> None:
+        """A down source's server filter keeps coasting once primed, so
+        staleness and covariance grow."""
+        if self._server.is_primed(source_id):
+            self._server.tick(source_id, now)
 
-        Reconfigures only when the set of active overrides changed, so
-        runs without asymmetric faults pay a single set lookup per tick.
-        """
-        if not self._faults.asymmetric_links():
-            return
-        overrides = {
-            sid: extras
-            for sid, extras in self._faults.latency_overrides(now).items()
-            if sid in self._links
-        }
-        if overrides == self._latency_overrides:
-            return
-        for source_id in set(self._latency_overrides) | set(overrides):
-            base = self._links[source_id]
-            data_extra, ack_extra = overrides.get(source_id, (0, 0))
-            current = self._fabric.link_config(source_id)
-            self._fabric.reconfigure_link(
-                source_id,
-                dataclasses.replace(
-                    current,
-                    latency_ticks=base.latency_ticks + data_extra,
-                    ack_latency_ticks=base.ack_latency_ticks + ack_extra,
-                ),
-            )
-        self._latency_overrides = overrides
+    def _note_reading(self, source_id: str, step) -> None:
+        """Feed one reading's accept/reject verdict to the watchdog."""
+        if step.rejected:
+            self._watchdog.note_rejection(source_id)
+        else:
+            self._watchdog.note_accepted(source_id)
 
     def _drain_inbox(self) -> None:
         """Process the bounded inbox at the configured drain rate."""
@@ -654,109 +510,6 @@ class StreamEngine:
             # "quarantine" needs no mechanism here: answers() reads the
             # watchdog's rung and flags the stream untrustworthy.
 
-    def _maybe_checkpoint(self) -> None:
-        """Write a periodic snapshot when the cadence says so."""
-        if (
-            self._resilience is None
-            or not self._resilience.checkpoint_every
-            or self._ckpt is None
-            or self._server_down
-        ):
-            return
-        if self._ticks % self._resilience.checkpoint_every == 0:
-            self.checkpoint()
-
-    def _step_sources(self, now: int) -> int:
-        """The per-source half of :meth:`step` (readings + transport)."""
-        tel = self._tel
-        processed = 0
-        for source_id, source in self._sources.items():
-            if self._faults is not None:
-                if (
-                    self._faults.restarts_at(source_id, now)
-                    or source_id in self._restart_pending
-                ):
-                    # Recovered from a crash: all state is gone.  The next
-                    # transmission must be a resync snapshot, because the
-                    # server's expected sequence number survived the crash
-                    # and a fresh seq-0 update would read as a stale
-                    # duplicate.  Under a restart policy the supervisor
-                    # may defer the restart (backoff or exhausted budget),
-                    # in which case the source stays down and the request
-                    # is retried next tick.
-                    if (
-                        self._supervisor is None
-                        or self._supervisor.request_restart(source_id, now)
-                    ):
-                        self._restart_pending.discard(source_id)
-                        source.reset(now)
-                        self._resync_prime.add(source_id)
-                        self._down_now.discard(source_id)
-                        if tel.enabled:
-                            tel.emit("fault.restart", source_id=source_id)
-                            tel.count("restarts_total", source_id)
-                    else:
-                        self._restart_pending.add(source_id)
-                if (
-                    self._faults.is_down(source_id, now)
-                    or source_id in self._restart_pending
-                ):
-                    # Sensor dead: no reading, no transport.  The server
-                    # keeps coasting so staleness and covariance grow.
-                    if source_id not in self._down_now:
-                        self._down_now.add(source_id)
-                        if tel.enabled:
-                            tel.emit("fault.crash", source_id=source_id)
-                            tel.count("crashes_total", source_id)
-                    if (
-                        not self._server_down
-                        and self._server.is_primed(source_id)
-                    ):
-                        self._server.tick(source_id, now)
-                    if self._faults.is_terminal(source_id, now):
-                        self._exhausted.add(source_id)
-                    continue
-            if source_id not in self._exhausted:
-                cursor = self._cursors[source_id]
-                try:
-                    record = cursor.next()
-                except StreamExhaustedError:
-                    self._exhausted.add(source_id)
-                else:
-                    if self._faults is not None:
-                        record = self._faults.transform(source_id, now, record)
-                    if not self._server_down:
-                        self._server.tick(source_id, record.k)
-                    step = source.sample(record)
-                    if self._watchdog is not None:
-                        if step.rejected:
-                            self._watchdog.note_rejection(source_id)
-                        else:
-                            self._watchdog.note_accepted(source_id)
-                    message = step.message
-                    if message is not None:
-                        if source_id in self._resync_prime:
-                            self._resync_prime.discard(source_id)
-                            message = source.resync_message(
-                                record.k, step.value
-                            )
-                            if tel.enabled:
-                                tel.emit(
-                                    "engine.resync_prime",
-                                    source_id=source_id,
-                                    trace=trace_id(source_id, message.seq),
-                                    k=record.k,
-                                )
-                        self._fabric.send(message)
-                        source.note_sent(message, now)
-                    processed += 1
-            # Transport maintenance runs for every live source, even after
-            # its stream drained: pending retransmissions and heartbeats
-            # must not strand.
-            for message in source.poll_transport(now):
-                self._fabric.send(message)
-        return processed
-
     def run(self, max_ticks: int | None = None) -> int:
         """Step until every stream is exhausted (or ``max_ticks``).
 
@@ -767,20 +520,10 @@ class StreamEngine:
 
         Returns the number of ticks executed.
         """
-        executed = 0
         with self._tel.timers.span("engine.run"):
-            while max_ticks is None or executed < max_ticks:
-                if len(self._exhausted) == len(self._sources):
-                    break
-                if (
-                    self.step() == 0
-                    and len(self._exhausted) == len(self._sources)
-                ):
-                    break
-                executed += 1
-            if self._sources and len(self._exhausted) == len(self._sources):
-                self._flush_in_flight()
-        return executed
+            return self._front.run(
+                self.step, self._flush_in_flight, max_ticks
+            )
 
     def settle(self, max_ticks: int = 256) -> int:
         """Tick the transport until it quiesces (post-run grace period).
@@ -793,14 +536,9 @@ class StreamEngine:
 
         Returns the number of grace ticks executed.
         """
-        executed = 0
-        while executed < max_ticks:
-            pending = sum(s.pending_acks for s in self._sources.values())
-            if pending == 0 and self._fabric.total_in_flight() == 0:
-                break
-            self.step()
-            executed += 1
-        return executed
+        return self._front.settle(
+            self.step, self._fabric.total_in_flight, max_ticks
+        )
 
     def _flush_in_flight(self) -> None:
         """Deliver stranded in-flight traffic (and resulting acks)."""
@@ -863,136 +601,47 @@ class StreamEngine:
             )
         return out
 
-    def answer(self, query_id: str) -> QueryAnswer:
-        """The current answer for one query."""
-        for candidate in self.answers():
-            if candidate.query_id == query_id:
-                return candidate
-        raise UnknownSourceError(f"no answer available for query {query_id!r}")
-
     # Crash recovery -------------------------------------------------------
 
-    def checkpoint(self) -> int:
-        """Snapshot the full server filter bank to durable storage.
-
-        Writes one atomic ``repro.ckpt-v1`` snapshot (per-source state
-        vector, covariance, clock and sequence expectations) and
-        truncates the WAL it supersedes.  Returns the framed size in
-        bytes.
-
-        Raises:
-            ConfigurationError: When no checkpoint directory is
-                configured or the server is down.
-        """
-        if self._ckpt is None:
-            raise ConfigurationError(
-                "checkpointing requires a ResilienceConfig with a "
-                "checkpoint_dir"
-            )
-        if self._server_down:
-            raise ConfigurationError("cannot checkpoint a dead server")
-        snapshot = {
-            "schema": CHECKPOINT_SCHEMA,
-            "tick": self._ticks,
-            "server_clock": self._server.clock,
-            "sources": {
-                source_id: self._server.export_source_state(source_id)
-                for source_id in self._server.source_ids
-            },
-            "meta": {"recoveries": self._recoveries},
-        }
-        size = self._ckpt.save(snapshot)
-        if self._tel.enabled:
-            self._tel.emit(
-                "checkpoint.write",
-                bytes=size,
-                sources=len(snapshot["sources"]),
-            )
-            self._tel.count("checkpoint_writes_total")
-            self._tel.gauge("checkpoint_bytes", size)
-        return size
-
-    def crash_server(self) -> int:
-        """Kill the central server process mid-run.
-
-        Every in-memory filter dies with it; only the checkpoint and WAL
-        survive.  Until :meth:`recover`, deliveries are dropped on the
-        floor (the fabric still counts them delivered -- that is what
-        happens to packets that reach a dead host), sources keep
-        sampling and their un-acked messages age toward retransmission,
-        and :meth:`answers` serves the cached last-known values flagged
-        ``degraded``.  Returns the number of queued inbox messages lost.
-
-        Raises:
-            ConfigurationError: When resilience is not enabled (the
-                non-resilient engine has no recovery path, so a crash
-                would just be a broken simulation).
-        """
-        if self._resilience is None:
-            raise ConfigurationError(
-                "crash_server requires a ResilienceConfig"
-            )
-        if self._server_down:
-            return 0
-        self._server_down = True
-        lost = self._inbox.clear() if self._inbox is not None else 0
-        if self._tel.enabled:
-            self._tel.emit(
-                "server.crash", inbox_lost=lost
-            )
-            self._tel.count("server_crashes_total")
-        return lost
-
-    def recover(self) -> dict[str, int]:
-        """Rebuild the server from the last checkpoint plus WAL replay.
-
-        The recovery handshake:
-
-        1. a fresh server registers every installed source (configs live
-           in the engine, not the dead process);
-        2. the checkpoint restores each source's ``(x, P, k)``, counters
-           and sequence expectations;
-        3. the WAL tail replays every update/resync applied since the
-           snapshot, interleaving the prediction steps the original run
-           performed (the filter arithmetic is deterministic, so replay
-           reconstructs the exact pre-crash estimates);
-        4. each filter rolls forward to the present (it predicted
-           nothing while dead, its mirror predicted every tick);
-        5. sources whose sequence numbers advanced past what the
-           restored server expects are asked for a resync snapshot --
-           the same message that heals a lossy link heals a reborn
-           server.
-
-        Returns a summary dict (``restored_sources``, ``wal_replayed``,
-        ``resync_requests``, ``dropped_while_down``).
-        """
-        if self._resilience is None:
-            raise ConfigurationError("recover requires a ResilienceConfig")
-        dropped = self._dropped_while_down
-        self._server = DKFServer(
+    def _new_server(self) -> DKFServer:
+        return DKFServer(
             strict=False,
             emit_acks=True,
             telemetry=self._tel,
             track_health=self._track_health,
         )
-        self._server_down = False
+
+    def _export_server(self) -> tuple[int, dict]:
+        return self._server.clock, {
+            source_id: self._server.export_source_state(source_id)
+            for source_id in self._server.source_ids
+        }
+
+    def _drop_queued(self) -> int:
+        return self._inbox.clear() if self._inbox is not None else 0
+
+    def _reset_server(self) -> None:
+        """A fresh server registers every installed source (configs live
+        in the engine, not the dead process)."""
+        self._server = self._new_server()
         self._dropped_while_down = 0
         for source_id, source in self._sources.items():
             self._server.register(
                 source_id,
                 source.config,
-                transport=self._transports.get(source_id) or TransportPolicy(),
+                transport=self._front.transports[source_id],
             )
-        snapshot = self._ckpt.load() if self._ckpt is not None else None
-        restored = 0
-        if snapshot is not None:
-            for source_id, data in snapshot["sources"].items():
-                if source_id in self._server.source_ids:
-                    self._server.import_source_state(source_id, data)
-                    restored += 1
-        replayed = self._replay_wal() if self._ckpt is not None else 0
-        # Roll each restored filter forward to the present: the mirror
-        # predicted once per sampled instant while the server was dead.
+
+    def _import_source(self, source_id: str, data: dict) -> bool:
+        if source_id not in self._server.source_ids:
+            return False
+        self._server.import_source_state(source_id, data)
+        return True
+
+    def _roll_forward(self) -> int:
+        """Roll each restored filter forward to the present: the mirror
+        predicted once per sampled instant while the server was dead.
+        Returns the number of sources asked for a resync snapshot."""
         for source_id, source in self._sources.items():
             if not self._server.is_primed(source_id) or not source.primed:
                 continue
@@ -1014,22 +663,7 @@ class StreamEngine:
             ):
                 source.request_resync()
                 resyncs += 1
-        self._recoveries += 1
-        if self._tel.enabled:
-            self._tel.emit(
-                "recovery.replay",
-                restored_sources=restored,
-                wal_replayed=replayed,
-                resync_requests=resyncs,
-                dropped_while_down=dropped,
-            )
-            self._tel.count("recoveries_total")
-        return {
-            "restored_sources": restored,
-            "wal_replayed": replayed,
-            "resync_requests": resyncs,
-            "dropped_while_down": dropped,
-        }
+        return resyncs
 
     def _replay_wal(self) -> int:
         """Apply the WAL tail to a freshly restored server."""
@@ -1076,22 +710,13 @@ class StreamEngine:
 
     def resilience_report(self) -> dict[str, object]:
         """Summary of every resilience guard's activity this run."""
-        report: dict[str, object] = {
-            "enabled": self._resilience is not None,
-            "recoveries": self._recoveries,
-            "server_down": self._server_down,
-            "dropped_while_down": self._dropped_while_down,
-        }
+        report = super().resilience_report()
         if self._inbox is not None:
             report["inbox"] = {
                 "depth": self._inbox.depth,
                 "accepted": self._inbox.accepted,
                 "dropped": self._inbox.dropped,
             }
-        if self._watchdog is not None:
-            report["watchdog"] = self._watchdog.report()
-        if self._supervisor is not None:
-            report["supervisor"] = self._supervisor.report()
         if self._overload is not None:
             report["overload"] = self._overload.report()
             report["shed_ledger"] = self._overload.ledger()
@@ -1141,18 +766,3 @@ class StreamEngine:
             acks_delivered=acks_delivered,
             per_source_energy=per_source_energy,
         )
-
-    def obs_snapshot(self, meta: dict | None = None) -> dict:
-        """Telemetry snapshot of this run (``repro.obs/v2`` schema).
-
-        Merges the engine's traffic report into ``meta`` so a snapshot is
-        self-describing even when telemetry was disabled (counters empty).
-        Building the snapshot flushes the final tick into the metric
-        history, so the exported series cover the whole run.
-        """
-        merged = {"ticks": self._ticks, "report": self.report().to_dict()}
-        if self._resilience is not None:
-            merged["resilience"] = self.resilience_report()
-        if meta:
-            merged.update(meta)
-        return build_snapshot(self._tel, meta=merged)

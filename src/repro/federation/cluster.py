@@ -39,22 +39,15 @@ import dataclasses
 import numpy as np
 
 from repro.dkf.config import TransportPolicy
-from repro.dkf.protocol import (
-    AckMessage,
-    HeartbeatMessage,
-    ResyncMessage,
-    UpdateMessage,
-)
+from repro.dkf.protocol import ResyncMessage, UpdateMessage
 from repro.dkf.source import DKFSource
+from repro.dkf.stepper import SourceDriver
 from repro.dsms.faults import FaultSchedule
+from repro.dsms.linkfaults import apply_latency_overrides, layer_link_faults
 from repro.dsms.network import LinkConfig, NetworkFabric
 from repro.dsms.query import ContinuousQuery, QueryAnswer
 from repro.dsms.registry import SourceRegistry
-from repro.errors import (
-    ConfigurationError,
-    StreamExhaustedError,
-    UnknownSourceError,
-)
+from repro.errors import ConfigurationError, UnknownSourceError
 from repro.federation.config import FederationConfig
 from repro.federation.consensus import (
     ConsensusRoundInfo,
@@ -75,7 +68,7 @@ from repro.filters.models import StateSpaceModel
 from repro.obs.events import trace_id
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.resilience.supervisor import StreamSupervisor
-from repro.streams.base import MaterializedStream, StreamCursor
+from repro.streams.base import MaterializedStream
 
 __all__ = ["FederatedCluster", "FederationReport"]
 
@@ -135,19 +128,6 @@ class FederationReport:
         return dataclasses.asdict(self)
 
 
-def _either(first, second):
-    """Compose two optional loss predicates with OR (fault layering)."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-
-    def drop(index: int) -> bool:
-        return bool(first(index)) or bool(second(index))
-
-    return drop
-
-
 class FederatedCluster:
     """N peer servers, consensus fusion, failover -- one facade.
 
@@ -176,17 +156,18 @@ class FederatedCluster:
             for pid in self._cfg.peer_ids
         }
         self.registry = SourceRegistry()
-        self._sources: dict[str, DKFSource] = {}
-        self._cursors: dict[str, StreamCursor] = {}
+        self._front = SourceDriver(
+            self.registry,
+            install=self._install_banks,
+            teardown=self._uninstall_banks,
+            telemetry=self._tel,
+        )
+        self._sources = self._front.sources
         self._links: dict[str, LinkConfig] = {}
-        self._transports: dict[str, TransportPolicy] = {}
         self._drift: dict[str, float] = {}
         self._ticks = 0
-        self._exhausted: set[str] = set()
         self._faults: FaultSchedule | None = None
         self._latency_overrides: dict[str, tuple[int, int]] = {}
-        self._resync_prime: set[str] = set()
-        self._down_now: set[str] = set()
         # Federation routing state (the cluster's ingress table).
         self._home: dict[str, str] = {}
         self._home_epoch: dict[str, int] = {}
@@ -204,7 +185,7 @@ class FederatedCluster:
         self._split_brain_ticks = 0
         self._source_fabric = NetworkFabric(
             deliver=self._deliver_from_source,
-            deliver_ack=self._on_ack,
+            deliver_ack=self._front.on_ack,
             telemetry=self._tel,
         )
         self._peer_fabric = NetworkFabric(
@@ -282,6 +263,11 @@ class FederatedCluster:
                 f"source {source_id!r} not registered"
             ) from None
 
+    def home_epoch(self, source_id: str) -> int:
+        """How many times the stream has been re-homed (0 = never)."""
+        self.home_of(source_id)
+        return self._home_epoch[source_id]
+
     def replicas_of(self, source_id: str) -> list[str]:
         """The stream's current replica peers."""
         self.home_of(source_id)
@@ -308,13 +294,11 @@ class FederatedCluster:
             raise ConfigurationError(
                 f"source id {source_id!r} collides with the peer namespace"
             )
-        self.registry.register_source(
-            source_id, model, default_smoothing_r=default_smoothing_r
+        self._front.add_source(
+            source_id, model, stream, default_smoothing_r, transport
         )
-        self._cursors[source_id] = StreamCursor(stream)
         self._source_fabric.add_link(source_id, link)
         self._links[source_id] = link or LinkConfig()
-        self._transports[source_id] = transport or TransportPolicy()
         self._drift[source_id] = staleness_drift(model)
         home = self._graph.home(source_id)
         self._home[source_id] = home
@@ -332,35 +316,19 @@ class FederatedCluster:
         peer; the tightest active δ wins, exactly as on the
         single-server engine.
         """
-        descriptor = self.registry.add_query(query)
-        config = descriptor.build_config()
-        existing = self._sources.get(query.source_id)
-        if existing is not None and existing.config == config:
-            return
-        self._install(query.source_id, config)
+        self._front.submit_query(query)
 
     def retire_query(self, query_id: str) -> None:
         """Deactivate a query; tear down the DKF when none remain."""
-        descriptor = self.registry.remove_query(query_id)
-        source_id = descriptor.source_id
-        if not descriptor.queries:
-            if source_id in self._sources:
-                del self._sources[source_id]
-                for peer in self._peers.values():
-                    peer.uninstall(source_id)
-                self._exhausted.discard(source_id)
-                self._resync_prime.discard(source_id)
-            return
-        config = descriptor.build_config()
-        if self._sources[source_id].config != config:
-            self._install(source_id, config)
+        self._front.retire_query(query_id)
 
-    def _install(self, source_id: str, config) -> None:
-        transport = self._transports.get(source_id) or TransportPolicy()
-        self._sources[source_id] = DKFSource(
-            source_id, config, transport=transport, telemetry=self._tel
-        )
-        self._resync_prime.discard(source_id)
+    def _uninstall_banks(self, source_id: str) -> None:
+        for peer in self._peers.values():
+            peer.uninstall(source_id)
+
+    def _install_banks(
+        self, source_id: str, config, transport: TransportPolicy
+    ) -> None:
         holders = [self._home[source_id], *self._replicas[source_id]]
         for pid in holders:
             peer = self._peers[pid]
@@ -386,86 +354,21 @@ class FederatedCluster:
         schedule.reset()
         schedule.bind_telemetry(self._tel)
         self._faults = schedule
-        partitioned = (
-            schedule.partitioned_nodes() if schedule.has_partitions() else set()
+        # A source's link is severed when the cut separates it from its
+        # *current* ingress peer -- the routing table is read live, so
+        # failover re-points it.
+        layer_link_faults(
+            self._source_fabric,
+            self._links,
+            schedule,
+            ends=lambda source_id: (source_id, self._home[source_id]),
         )
-        for source_id in self._links:
-            loss = schedule.loss_fn(source_id)
-            corrupt = schedule.corrupt_fn(source_id)
-            sever = None
-            if partitioned:
-                # A source's link is severed when the cut separates it
-                # from its *current* ingress peer -- the closure reads
-                # the routing table live, so failover re-points it.
-                def sever(_index: int, _sid: str = source_id) -> bool:
-                    return schedule.link_severed(_sid, self._home[_sid])
-
-            if loss is None and corrupt is None and sever is None:
-                continue
-            base = self._source_fabric.link_config(source_id)
-            self._source_fabric.reconfigure_link(
-                source_id,
-                dataclasses.replace(
-                    base,
-                    loss_fn=_either(_either(base.loss_fn, loss), sever),
-                    ack_loss_fn=_either(base.ack_loss_fn, sever),
-                    corrupt_fn=_either(base.corrupt_fn, corrupt),
-                ),
-            )
-        if partitioned:
-            for link in self._peer_links:
-                a, b = link.split(">")
-                if a not in partitioned and b not in partitioned:
-                    continue
-
-                def sever_peer(_index: int, _a: str = a, _b: str = b) -> bool:
-                    return schedule.link_severed(_a, _b)
-
-                base = self._peer_fabric.link_config(link)
-                self._peer_fabric.reconfigure_link(
-                    link,
-                    dataclasses.replace(
-                        base, loss_fn=_either(base.loss_fn, sever_peer)
-                    ),
-                )
-            self._source_fabric.set_gate(
-                lambda link_id, tick: not schedule.link_severed(
-                    link_id, self._home[link_id], tick
-                )
-            )
-            self._peer_fabric.set_gate(
-                lambda link_id, tick: not schedule.link_severed(
-                    *link_id.split(">"), tick
-                )
-            )
-
-    def _apply_latency_overrides(self, now: int) -> None:
-        """Apply/clear asymmetric-link windows on both fabrics."""
-        if not self._faults.asymmetric_links():
-            return
-        overrides = {
-            lid: extras
-            for lid, extras in self._faults.latency_overrides(now).items()
-            if lid in self._links or lid in self._peer_links
-        }
-        if overrides == self._latency_overrides:
-            return
-        for link_id in set(self._latency_overrides) | set(overrides):
-            if link_id in self._links:
-                fabric, base = self._source_fabric, self._links[link_id]
-            else:
-                fabric, base = self._peer_fabric, self._peer_links[link_id]
-            data_extra, ack_extra = overrides.get(link_id, (0, 0))
-            current = fabric.link_config(link_id)
-            fabric.reconfigure_link(
-                link_id,
-                dataclasses.replace(
-                    current,
-                    latency_ticks=base.latency_ticks + data_extra,
-                    ack_latency_ticks=base.ack_latency_ticks + ack_extra,
-                ),
-            )
-        self._latency_overrides = overrides
+        layer_link_faults(
+            self._peer_fabric,
+            self._peer_links,
+            schedule,
+            ends=lambda link_id: link_id.split(">"),
+        )
 
     # Peer lifecycle -------------------------------------------------------
 
@@ -508,7 +411,7 @@ class FederatedCluster:
             config = self._sources.get(source_id)
             if config is None:
                 continue
-            transport = self._transports[source_id]
+            transport = self._front.transports[source_id]
             for pid in replicas:
                 peer = self._peers[pid]
                 if (
@@ -534,12 +437,13 @@ class FederatedCluster:
     def step(self) -> int:
         """Advance every queried source one sampling instant.
 
-        The single-server step, federated: sources sample and transmit
-        to their ingress; both fabrics advance; every peer's acks are
-        routed (home acks back to the source, replica resync requests
-        into the replica-heal path); peers heartbeat; confirmed-dead
-        homes trigger failover; and on consensus cadence the previous
-        round's shares fuse before the next round broadcasts.
+        The single-server step, federated: the shared
+        :class:`~repro.dkf.stepper.SourceDriver` has every source sample
+        and transmit to its ingress; both fabrics advance; every peer's
+        acks are routed (home acks back to the source, replica resync
+        requests into the replica-heal path); peers heartbeat;
+        confirmed-dead homes trigger failover; and on consensus cadence
+        the previous round's shares fuse before the next round broadcasts.
         """
         tel = self._tel
         now = self._ticks
@@ -547,9 +451,18 @@ class FederatedCluster:
         with tel.timers.span("federation.step"):
             if self._faults is not None:
                 self._faults.observe_tick(now)
-                self._apply_latency_overrides(now)
+                self._latency_overrides = apply_latency_overrides(
+                    self._faults, now, self._latency_overrides,
+                    (self._source_fabric, self._links),
+                    (self._peer_fabric, self._peer_links),
+                )
                 self._apply_peer_faults(now)
-            processed = self._step_sources(now)
+            processed = self._front.step(
+                now,
+                self._tick_banks,
+                self._source_fabric.send,
+                faults=self._faults,
+            )
             self._ticks += 1
             for peer in self._peers.values():
                 if peer.alive:
@@ -565,54 +478,6 @@ class FederatedCluster:
                 self._ticks
             ):
                 self._split_brain_ticks += 1
-        return processed
-
-    def _step_sources(self, now: int) -> int:
-        """Readings + transport for every source (mirrors the engine)."""
-        tel = self._tel
-        processed = 0
-        for source_id, source in self._sources.items():
-            if self._faults is not None:
-                if self._faults.restarts_at(source_id, now):
-                    source.reset(now)
-                    self._resync_prime.add(source_id)
-                    self._down_now.discard(source_id)
-                    if tel.enabled:
-                        tel.emit("fault.restart", source_id=source_id)
-                        tel.count("restarts_total", source_id)
-                if self._faults.is_down(source_id, now):
-                    if source_id not in self._down_now:
-                        self._down_now.add(source_id)
-                        if tel.enabled:
-                            tel.emit("fault.crash", source_id=source_id)
-                            tel.count("crashes_total", source_id)
-                    self._tick_banks(source_id, now)
-                    if self._faults.is_terminal(source_id, now):
-                        self._exhausted.add(source_id)
-                    continue
-            if source_id not in self._exhausted:
-                cursor = self._cursors[source_id]
-                try:
-                    record = cursor.next()
-                except StreamExhaustedError:
-                    self._exhausted.add(source_id)
-                else:
-                    if self._faults is not None:
-                        record = self._faults.transform(source_id, now, record)
-                    self._tick_banks(source_id, record.k)
-                    step = source.sample(record)
-                    message = step.message
-                    if message is not None:
-                        if source_id in self._resync_prime:
-                            self._resync_prime.discard(source_id)
-                            message = source.resync_message(
-                                record.k, step.value
-                            )
-                        self._source_fabric.send(message)
-                        source.note_sent(message, now)
-                    processed += 1
-            for message in source.poll_transport(now):
-                self._source_fabric.send(message)
         return processed
 
     def _tick_banks(self, source_id: str, k: int) -> None:
@@ -714,12 +579,6 @@ class FederatedCluster:
             return
         if isinstance(frame, RehomeClaim):
             peer.adopt_claim(frame.stream_id, frame.new_home, frame.epoch)
-
-    def _on_ack(self, ack: AckMessage) -> None:
-        """Source fabric ack deliver: hand the ack to its source."""
-        source = self._sources.get(ack.source_id)
-        if source is not None:
-            source.on_ack(ack, self._ticks)
 
     def _route_peer_outboxes(self) -> None:
         """Drain every bank's ack outbox to the right consumer.
@@ -856,7 +715,9 @@ class FederatedCluster:
         if source_id not in peer.server.source_ids:
             config = self._sources[source_id].config
             peer.install(
-                source_id, config, transport=self._transports[source_id]
+                source_id,
+                config,
+                transport=self._front.transports[source_id],
             )
         peer.adopt_claim(source_id, new_home, epoch)
         self._replicas[source_id] = self._graph.replicas(
@@ -1256,38 +1117,19 @@ class FederatedCluster:
 
     def run(self, max_ticks: int | None = None) -> int:
         """Step until every stream is exhausted (or ``max_ticks``)."""
-        executed = 0
         with self._tel.timers.span("federation.run"):
-            while max_ticks is None or executed < max_ticks:
-                if self._sources and len(self._exhausted) == len(
-                    self._sources
-                ):
-                    break
-                if (
-                    self.step() == 0
-                    and self._sources
-                    and len(self._exhausted) == len(self._sources)
-                ):
-                    break
-                executed += 1
-            if self._sources and len(self._exhausted) == len(self._sources):
-                self._flush_in_flight()
-        return executed
+            return self._front.run(
+                self.step, self._flush_in_flight, max_ticks
+            )
 
     def settle(self, max_ticks: int = 256) -> int:
         """Tick until the transport quiesces (post-run grace period)."""
-        executed = 0
-        while executed < max_ticks:
-            pending = sum(s.pending_acks for s in self._sources.values())
-            if (
-                pending == 0
-                and self._source_fabric.total_in_flight() == 0
-                and self._peer_fabric.total_in_flight() == 0
-            ):
-                break
-            self.step()
-            executed += 1
-        return executed
+        return self._front.settle(
+            self.step,
+            lambda: self._source_fabric.total_in_flight()
+            + self._peer_fabric.total_in_flight(),
+            max_ticks,
+        )
 
     def _flush_in_flight(self) -> None:
         """Deliver stranded traffic on both fabrics (and resulting acks)."""

@@ -29,7 +29,13 @@ from pathlib import Path
 
 from repro.errors import CheckpointError
 
-__all__ = ["CheckpointStore", "CHECKPOINT_SCHEMA", "validate_checkpoint"]
+__all__ = [
+    "CheckpointStore",
+    "CHECKPOINT_SCHEMA",
+    "build_checkpoint",
+    "validate_checkpoint",
+    "wal_record",
+]
 
 #: Schema marker embedded in (and required of) every snapshot.
 CHECKPOINT_SCHEMA = "repro.ckpt-v1"
@@ -88,6 +94,42 @@ def validate_checkpoint(snapshot: dict) -> None:
             raise CheckpointError(
                 f"checkpoint source {source_id!r} filter needs x, p, k"
             )
+
+
+def build_checkpoint(
+    tick: int, server_clock: int, sources: dict, meta: dict | None = None
+) -> dict:
+    """The one ``repro.ckpt-v1`` snapshot shape every server front writes:
+    the tick it was cut at, the server's liveness clock, per-source
+    exported state keyed by source id, and an optional ``meta`` section."""
+    snapshot = {
+        "schema": CHECKPOINT_SCHEMA,
+        "tick": int(tick),
+        "server_clock": int(server_clock),
+        "sources": sources,
+    }
+    if meta is not None:
+        snapshot["meta"] = meta
+    return snapshot
+
+
+def wal_record(kind: str, source_id: str, seq, k, value, x=None, p=None) -> dict:
+    """The one WAL record shape for an *applied* update or resync.
+
+    ``value`` (and, for ``kind == "resync"``, the snapshot ``x`` / ``p``)
+    are numpy arrays; the record holds their JSON-ready lists.
+    """
+    record = {
+        "kind": kind,
+        "source_id": source_id,
+        "seq": int(seq),
+        "k": int(k),
+        "value": value.tolist(),
+    }
+    if kind == "resync":
+        record["x"] = x.tolist()
+        record["p"] = p.tolist()
+    return record
 
 
 def _canonical(record: dict) -> str:

@@ -32,6 +32,7 @@ from repro.dkf.protocol import (
     ResyncMessage,
     UpdateMessage,
 )
+from repro.dkf.server import NIS_WINDOW
 from repro.errors import (
     ConfigurationError,
     DuplicateSourceError,
@@ -42,10 +43,7 @@ from repro.filters.models import StateSpaceModel
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.scale.vector_bank import VectorKalmanBank, model_signature
 
-__all__ = ["ServerCore", "NIS_WINDOW"]
-
-#: Server-side NIS window length (matches ``DKFServer``'s deque maxlen).
-NIS_WINDOW = 16
+__all__ = ["ServerCore"]
 
 #: The protocol counters, in ``DKFServer.stats`` / checkpoint order.
 _COUNTERS = (

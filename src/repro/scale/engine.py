@@ -51,17 +51,14 @@ from repro.dkf.config import TransportPolicy
 from repro.dsms.energy import EnergyModel
 from repro.dsms.engine import EngineReport
 from repro.dsms.faults import FaultSchedule
+from repro.dsms.linkfaults import either
 from repro.dsms.network import LinkConfig
 from repro.dsms.query import ContinuousQuery, QueryAnswer
 from repro.dsms.registry import SourceRegistry
 from repro.errors import ConfigurationError, UnknownSourceError
 from repro.filters.models import StateSpaceModel
-from repro.obs.exporters import build_snapshot
-from repro.obs.telemetry import NULL_TELEMETRY
-from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.supervisor import StreamSupervisor
-from repro.resilience.watchdog import DivergenceWatchdog
+from repro.resilience.shell import ResilienceShell
 from repro.scale.pool import WorkerPool
 from repro.scale.shard import ShardRouter, ShardRuntime, model_signature
 from repro.streams.base import MaterializedStream
@@ -72,20 +69,7 @@ __all__ = ["BatchStreamEngine"]
 _EMA_ALPHA = 0.2
 
 
-def _compose(first, second):
-    """OR two optional loss predicates (fault layering on one link)."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-
-    def drop(index: int) -> bool:
-        return bool(first(index)) or bool(second(index))
-
-    return drop
-
-
-class BatchStreamEngine:
+class BatchStreamEngine(ResilienceShell):
     """Sharded, vectorized drop-in for :class:`StreamEngine`.
 
     Args:
@@ -118,20 +102,14 @@ class BatchStreamEngine:
         latency_budget_us: float | None = None,
         autoscale: AutoscalePolicy | None = None,
     ) -> None:
+        if resilience is not None and resilience.overload is not None:
+            raise ConfigurationError(
+                "the batch engine applies deliveries synchronously and "
+                "has no server inbox; overload shedding requires the "
+                "scalar StreamEngine"
+            )
+        super().__init__(telemetry, resilience)
         self.registry = SourceRegistry()
-        self._tel = telemetry or NULL_TELEMETRY
-        self._resilience = resilience
-        if resilience is not None:
-            resilience.validate()
-            if resilience.overload is not None:
-                raise ConfigurationError(
-                    "the batch engine applies deliveries synchronously and "
-                    "has no server inbox; overload shedding requires the "
-                    "scalar StreamEngine"
-                )
-        self._track_health = (
-            resilience is not None and resilience.watchdog is not None
-        )
         self._router = ShardRouter(
             max_shard_rows=max_shard_rows, track_health=self._track_health
         )
@@ -159,71 +137,11 @@ class BatchStreamEngine:
         self._streams: dict[str, MaterializedStream] = {}
         self._transports: dict[str, TransportPolicy] = {}
         self._priorities: dict[str, int] = {}
-        self._ticks = 0
         self._server_clock = 0
-        self._faults: FaultSchedule | None = None
-
-        self._server_down = False
-        self._dropped_recovered = 0
-        self._recoveries = 0
-        self._ckpt: CheckpointStore | None = None
-        self._watchdog: DivergenceWatchdog | None = None
-        self._supervisor: StreamSupervisor | None = None
-        if resilience is not None:
-            if resilience.checkpoint_dir is not None:
-                self._ckpt = CheckpointStore(resilience.checkpoint_dir)
-            if resilience.watchdog is not None:
-                self._watchdog = DivergenceWatchdog(
-                    resilience.watchdog, telemetry=self._tel
-                )
-            if resilience.restart is not None:
-                self._supervisor = StreamSupervisor(
-                    resilience.restart, telemetry=self._tel
-                )
 
     # ------------------------------------------------------------------
     # Introspection (scalar-parity properties)
     # ------------------------------------------------------------------
-
-    @property
-    def ticks(self) -> int:
-        """Sampling instants processed so far."""
-        return self._ticks
-
-    @property
-    def faults(self) -> FaultSchedule | None:
-        """The installed fault schedule, if any."""
-        return self._faults
-
-    @property
-    def telemetry(self):
-        """The telemetry handle this engine reports through."""
-        return self._tel
-
-    @property
-    def resilience(self) -> ResilienceConfig | None:
-        """The resilience configuration, if any."""
-        return self._resilience
-
-    @property
-    def server_down(self) -> bool:
-        """Whether the central server is currently crashed."""
-        return self._server_down
-
-    @property
-    def checkpoint_store(self) -> CheckpointStore | None:
-        """The durable checkpoint store, if configured."""
-        return self._ckpt
-
-    @property
-    def watchdog(self) -> DivergenceWatchdog | None:
-        """The divergence watchdog, if configured."""
-        return self._watchdog
-
-    @property
-    def supervisor(self) -> StreamSupervisor | None:
-        """The restart supervisor, if configured."""
-        return self._supervisor
 
     @property
     def shards(self) -> list[ShardRuntime]:
@@ -326,8 +244,8 @@ class BatchStreamEngine:
         if loss is not None or corrupt is not None:
             shard.set_link_faults(
                 row,
-                _compose(shard.loss_fns.get(row), loss),
-                _compose(shard.corrupt_fns.get(row), corrupt),
+                either(shard.loss_fns.get(row), loss),
+                either(shard.corrupt_fns.get(row), corrupt),
             )
         if source_id in schedule.crash_sources():
             shard.crash_rows.add(row)
@@ -638,25 +556,11 @@ class BatchStreamEngine:
                 continue
             if shard.rows < 2:
                 continue
-            low, high = shard.split()
-            self._router.replace(shard, (low, high))
-            self._shard_ema_us.pop(shard.shard_id, None)
-            self._shard_ema_us[low.shard_id] = ema / 2
-            self._shard_ema_us[high.shard_id] = ema / 2
-            for part in (low, high):
-                for source_id, row in part.index.items():
-                    self._where[source_id] = (part, row)
-            self._rebalances += 1
-            if self._tel.enabled:
-                self._tel.emit(
-                    "scale.rebalance",
-                    shard=shard.shard_id,
-                    rows=shard.rows,
-                    ema_us=ema,
-                )
-                self._tel.count("shard_splits_total")
+            self._split_shard(shard, ema)
 
-    def _split_shard(self, shard: ShardRuntime, ema: float) -> None:
+    def _split_shard(
+        self, shard: ShardRuntime, ema: float, **event_fields
+    ) -> None:
         """Replace ``shard`` with its halves (shared split bookkeeping)."""
         low, high = shard.split()
         self._router.replace(shard, (low, high))
@@ -668,6 +572,16 @@ class BatchStreamEngine:
         for part in (low, high):
             for source_id, row in part.index.items():
                 self._where[source_id] = (part, row)
+        self._rebalances += 1
+        if self._tel.enabled:
+            self._tel.emit(
+                "scale.rebalance",
+                shard=shard.shard_id,
+                rows=shard.rows,
+                ema_us=ema,
+                **event_fields,
+            )
+            self._tel.count("shard_splits_total")
 
     def _maybe_autoscale(self, now: int) -> None:
         """Run the predictive control loop (split/merge/pool resize)."""
@@ -693,17 +607,7 @@ class BatchStreamEngine:
             if shard is None or shard.rows < 2:
                 continue
             ema = self._shard_ema_us.get(shard_id) or 0.0
-            self._split_shard(shard, ema)
-            self._rebalances += 1
-            if self._tel.enabled:
-                self._tel.emit(
-                    "scale.rebalance",
-                    shard=shard_id,
-                    rows=shard.rows,
-                    ema_us=ema,
-                    planned=True,
-                )
-                self._tel.count("shard_splits_total")
+            self._split_shard(shard, ema, planned=True)
         by_id = {s.shard_id: s for s in self._router.shards}
         for first_id, second_id in plan.merge_pairs:
             first = by_id.get(first_id)
@@ -837,13 +741,6 @@ class BatchStreamEngine:
             )
         return out
 
-    def answer(self, query_id: str) -> QueryAnswer:
-        """The current answer for one query."""
-        for candidate in self.answers():
-            if candidate.query_id == query_id:
-                return candidate
-        raise UnknownSourceError(f"no answer available for query {query_id!r}")
-
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
@@ -854,65 +751,17 @@ class BatchStreamEngine:
                 if not shard.retired[row]:
                     yield shard, row
 
-    def _maybe_checkpoint(self) -> None:
-        if (
-            self._resilience is None
-            or not self._resilience.checkpoint_every
-            or self._ckpt is None
-            or self._server_down
-        ):
-            return
-        if self._ticks % self._resilience.checkpoint_every == 0:
-            self.checkpoint()
-
-    def checkpoint(self) -> int:
-        """Snapshot the server filter bank (``repro.ckpt-v1``)."""
-        if self._ckpt is None:
-            raise ConfigurationError(
-                "checkpointing requires a ResilienceConfig with a "
-                "checkpoint_dir"
-            )
-        if self._server_down:
-            raise ConfigurationError("cannot checkpoint a dead server")
-        snapshot = {
-            "schema": CHECKPOINT_SCHEMA,
-            "tick": self._ticks,
-            "server_clock": self._server_clock,
-            "sources": {
-                shard.ids[row]: shard.core.export_row(row)
-                for shard, row in self._live_rows()
-            },
-            "meta": {"recoveries": self._recoveries},
+    def _export_server(self) -> tuple[int, dict]:
+        return self._server_clock, {
+            shard.ids[row]: shard.core.export_row(row)
+            for shard, row in self._live_rows()
         }
-        size = self._ckpt.save(snapshot)
-        if self._tel.enabled:
-            self._tel.emit(
-                "checkpoint.write",
-                bytes=size,
-                sources=len(snapshot["sources"]),
-            )
-            self._tel.count("checkpoint_writes_total")
-            self._tel.gauge("checkpoint_bytes", size)
-        return size
 
-    def crash_server(self) -> int:
-        """Kill the central server; deliveries drop until :meth:`recover`."""
-        if self._resilience is None:
-            raise ConfigurationError("crash_server requires a ResilienceConfig")
-        if self._server_down:
-            return 0
-        self._server_down = True
-        if self._tel.enabled:
-            self._tel.emit("server.crash", inbox_lost=0)
-            self._tel.count("server_crashes_total")
-        return 0
+    @property
+    def _dropped_while_down(self) -> int:
+        return sum(s.dropped_while_down for s in self._router.shards)
 
-    def recover(self) -> dict[str, int]:
-        """Rebuild the server rows from checkpoint + WAL replay."""
-        if self._resilience is None:
-            raise ConfigurationError("recover requires a ResilienceConfig")
-        dropped = sum(s.dropped_while_down for s in self._router.shards)
-        self._server_down = False
+    def _reset_server(self) -> None:
         self._server_clock = 0
         for shard in self._router.shards:
             shard.dropped_while_down = 0
@@ -920,18 +769,17 @@ class BatchStreamEngine:
             for row in range(shard.rows):
                 if not shard.retired[row]:
                     shard.core.reset_row(row, last_contact=0)
-        snapshot = self._ckpt.load() if self._ckpt is not None else None
-        restored = 0
-        if snapshot is not None:
-            for source_id, data in snapshot["sources"].items():
-                where = self._where.get(source_id)
-                if where is None or where[0].retired[where[1]]:
-                    continue
-                where[0].core.import_row(where[1], data)
-                restored += 1
-        replayed = self._replay_wal() if self._ckpt is not None else 0
-        # Roll forward: the mirror predicted once per sampled instant
-        # while the server was dead; the restored filter has not.
+
+    def _import_source(self, source_id: str, data: dict) -> bool:
+        where = self._where.get(source_id)
+        if where is None or where[0].retired[where[1]]:
+            return False
+        where[0].core.import_row(where[1], data)
+        return True
+
+    def _roll_forward(self) -> int:
+        # The mirror predicted once per sampled instant while the server
+        # was dead; the restored filter has not.
         for shard, row in self._live_rows():
             if not (
                 shard.server.is_primed(row) and shard.mirror.is_primed(row)
@@ -951,22 +799,7 @@ class BatchStreamEngine:
             if int(shard.seq_next[row]) != int(shard.core.expected_seq[row]):
                 shard.resync_requested[row] = True
                 resyncs += 1
-        self._recoveries += 1
-        if self._tel.enabled:
-            self._tel.emit(
-                "recovery.replay",
-                restored_sources=restored,
-                wal_replayed=replayed,
-                resync_requests=resyncs,
-                dropped_while_down=dropped,
-            )
-            self._tel.count("recoveries_total")
-        return {
-            "restored_sources": restored,
-            "wal_replayed": replayed,
-            "resync_requests": resyncs,
-            "dropped_while_down": dropped,
-        }
+        return resyncs
 
     def _replay_wal(self) -> int:
         count = 0
@@ -991,22 +824,6 @@ class BatchStreamEngine:
             )
             count += 1
         return count
-
-    def resilience_report(self) -> dict[str, object]:
-        """Summary of every resilience guard's activity this run."""
-        report: dict[str, object] = {
-            "enabled": self._resilience is not None,
-            "recoveries": self._recoveries,
-            "server_down": self._server_down,
-            "dropped_while_down": sum(
-                s.dropped_while_down for s in self._router.shards
-            ),
-        }
-        if self._watchdog is not None:
-            report["watchdog"] = self._watchdog.report()
-        if self._supervisor is not None:
-            report["supervisor"] = self._supervisor.report()
-        return report
 
     # ------------------------------------------------------------------
     # Reporting
@@ -1053,14 +870,7 @@ class BatchStreamEngine:
         )
 
     def obs_snapshot(self, meta: dict | None = None) -> dict:
-        """Telemetry snapshot of this run (``repro.obs/v2`` schema)."""
-        merged = {
-            "ticks": self._ticks,
-            "report": self.report().to_dict(),
-            "scale": self.scale_report(),
-        }
-        if self._resilience is not None:
-            merged["resilience"] = self.resilience_report()
-        if meta:
-            merged.update(meta)
-        return build_snapshot(self._tel, meta=merged)
+        """Telemetry snapshot of this run, with the shard layout added."""
+        return super().obs_snapshot(
+            {"scale": self.scale_report(), **(meta or {})}
+        )

@@ -15,7 +15,7 @@ operations.
 
 Semantic parity with the scalar stack is the design constraint, not an
 afterthought; each phase below names the scalar code it mirrors
-(``StreamEngine._step_sources``, ``DKFSource.sample``/``poll_transport``,
+(``SourceDriver.step``, ``DKFSource.sample``/``poll_transport``,
 ``DKFServer.receive``/``tick``, ``NetworkFabric.send``).  Rows fall into
 two transport regimes:
 
@@ -42,6 +42,7 @@ from repro.dkf.config import DKFConfig, TransportPolicy
 from repro.dkf.protocol import HeartbeatMessage, ResyncMessage, UpdateMessage
 from repro.errors import ConfigurationError
 from repro.filters.models import StateSpaceModel
+from repro.resilience.checkpoint import wal_record
 from repro.scale.core import ServerCore
 from repro.scale.vector_bank import (
     VectorKalmanBank,
@@ -282,7 +283,7 @@ class ShardRuntime:
     ) -> int:
         """Advance every row one sampling instant; returns readings taken.
 
-        Phases mirror ``StreamEngine._step_sources`` + the step tail:
+        Phases mirror ``SourceDriver.step`` + the engine's step tail:
         crash/restart handling, bulk read + sensor faults, server tick,
         mirror suppression decision, sends, transport poll, ack flush.
         """
@@ -478,18 +479,13 @@ class ShardRuntime:
         if kind == _RESYNC:
             x = np.reshape(x, (count, self.n))
             p = np.reshape(p, (count, self.n, self.n))
+        resync = kind == _RESYNC
         for i in np.flatnonzero(applied):
-            record = {
-                "kind": "update" if kind == _UPDATE else "resync",
-                "source_id": self.ids[int(rows[i])],
-                "seq": int(seqs[i]),
-                "k": int(ks[i]),
-                "value": z[i].tolist(),
-            }
-            if kind == _RESYNC:
-                record["x"] = x[i].tolist()
-                record["p"] = p[i].tolist()
-            wal(record)
+            wal(wal_record(
+                "resync" if resync else "update",
+                self.ids[int(rows[i])], seqs[i], ks[i], z[i],
+                x[i] if resync else None, p[i] if resync else None,
+            ))
 
     def _fast_apply_updates(
         self, rows, z, seqs, now: int, wal

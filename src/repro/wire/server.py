@@ -58,7 +58,7 @@ from repro.dkf.protocol import (
 )
 from repro.errors import ConfigurationError, CorruptMessageError
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.resilience.checkpoint import CHECKPOINT_SCHEMA
+from repro.resilience.checkpoint import build_checkpoint
 from repro.resilience.supervisor import (
     BoundedInbox,
     OverloadController,
@@ -549,15 +549,14 @@ class WireServer:
         the server ever acknowledged; :func:`~repro.resilience.
         checkpoint.validate_checkpoint` accepts it as-is.
         """
-        return {
-            "schema": CHECKPOINT_SCHEMA,
-            "tick": int(tick),
-            "server_clock": int(self.dkf.clock),
-            "sources": {
+        return build_checkpoint(
+            tick,
+            self.dkf.clock,
+            {
                 source_id: self.dkf.export_source_state(source_id)
                 for source_id in self.dkf.source_ids
             },
-        }
+        )
 
     def restore(self, snapshot: dict) -> None:
         """Rebuild the inner server core bit-identically from a snapshot.

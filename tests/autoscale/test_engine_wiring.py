@@ -160,6 +160,19 @@ class TestBatchEngineWiring:
         assert len(report["shards"]) > 1
         assert report["autoscale"]["plans"] > 0
 
+    def test_reactive_split_forgets_the_dead_shards_forecaster(self):
+        # Warm-up far beyond the run: every split below is the reactive
+        # EMA backstop, never a plan.
+        engine = _batch_engine(
+            self.policy(warmup_ticks=10_000), budget_us=1e-3
+        )
+        engine.run(6)
+        report = engine.scale_report()
+        assert report["rebalances"] >= 1
+        assert report["autoscale"]["plans"] == 0
+        live = {shard["shard_id"] for shard in report["shards"]}
+        assert set(report["autoscale"]["shards"]) <= live
+
     def test_predictive_merge_rejoins_cold_shards(self):
         engine = _batch_engine(self.policy(), budget_us=1e-3)
         engine.run(30)

@@ -1,13 +1,14 @@
-"""The sans-IO stepper mirrors the engine's per-source tick exactly.
+"""The sans-IO stepper is the engine's per-source tick.
 
 :class:`~repro.dkf.stepper.SourceStepper` exists so the wall-clock wire
-runtime can reuse the protocol logic the tick engine runs inline.  The
-parity test drives two identical :class:`DKFSource` endpoints through
-the same readings -- one via the stepper, one via the hand-inlined
-engine sequence (``sample`` -> ``note_sent`` -> ``poll_transport``) --
-and requires identical messages and identical transport counters at
-every instant.  The remaining cases pin the stepper's own contract:
-decoupled clocks, reading functions, and ack feedback.
+runtime runs the protocol logic the tick fronts run.  The parity test
+drives two identical :class:`DKFSource` endpoints through the same
+readings -- one via the stepper, one via the
+:class:`~repro.dkf.stepper.SourceDriver` the engine and the cluster step
+their sources with -- and requires identical messages and identical
+transport counters at every instant.  The remaining cases pin the
+stepper's own contract: decoupled clocks, reading functions, and ack
+feedback.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ import pytest
 from repro.dkf.config import DKFConfig, TransportPolicy
 from repro.dkf.server import DKFServer
 from repro.dkf.source import DKFSource
-from repro.dkf.stepper import SourceStepper
+from repro.dkf.stepper import SourceDriver, SourceStepper
+from repro.dsms.query import ContinuousQuery
+from repro.dsms.registry import SourceRegistry
 from repro.filters.models import constant_model
-from repro.streams.base import StreamRecord
+from repro.streams.base import stream_from_values
 
 SOURCE = "s0"
 
@@ -36,25 +39,32 @@ def test_stepper_matches_inlined_engine_sequence():
     transport = TransportPolicy(
         ack_timeout_ticks=4, heartbeat_interval_ticks=5
     )
-    stepped = SourceStepper(
-        DKFSource(SOURCE, _config(), transport)
-    )
-    inlined = DKFSource(SOURCE, _config(), transport)
     values = _values()
+    expected: list = []
+    driver = SourceDriver(
+        SourceRegistry(),
+        install=lambda source_id, config, transport: None,
+        teardown=lambda source_id: None,
+    )
+    driver.add_source(
+        SOURCE,
+        constant_model(dims=1),
+        stream_from_values(values),
+        transport=transport,
+    )
+    driver.submit_query(ContinuousQuery(SOURCE, delta=0.8))
+    inlined = driver.sources[SOURCE]
+    stepped = SourceStepper(DKFSource(SOURCE, inlined.config, transport))
 
     for k, value in enumerate(values):
         via_stepper = stepped.step(k, np.array([value]))
 
-        # The engine's per-source tick, hand-inlined.
-        record = StreamRecord(
-            k=k, timestamp=float(k), value=np.array([value])
-        )
-        step = inlined.sample(record)
-        expected = []
-        if step.message is not None:
-            inlined.note_sent(step.message, k)
-            expected.append(step.message)
-        expected.extend(inlined.poll_transport(k))
+        # The engine's per-source tick: the driver, with a wire that
+        # only collects.
+        expected.clear()
+        assert driver.step(
+            k, tick=lambda source_id, k: None, send=expected.append
+        ) == 1
 
         assert len(via_stepper) == len(expected), f"instant {k}"
         for ours, theirs in zip(via_stepper, expected):
