@@ -180,6 +180,10 @@ class DKFServer:
         """Identifiers of all registered sources."""
         return list(self._sources)
 
+    def __contains__(self, source_id: str) -> bool:
+        """Whether a source is registered (without building the id list)."""
+        return source_id in self._sources
+
     @property
     def clock(self) -> int:
         """The server's wall clock (engine ticks); drives liveness."""
@@ -461,9 +465,23 @@ class DKFServer:
         if state.filter is None:
             return 0.0
         innovation_cov = state.filter.innovation_covariance()
-        sigma = float(np.sqrt(max(np.max(np.diag(innovation_cov)), 0.0)))
+        sigma = float(np.sqrt(max(innovation_cov.diagonal().max(), 0.0)))
         delta = state.config.min_delta
         return delta / (delta + sigma)
+
+    def answer_fields(self, source_id: str) -> tuple | None:
+        """``(value, k, staleness_ticks, suspect, confidence)``; None unprimed."""
+        state = self._state(source_id)
+        if state.filter is None:
+            return None
+        staleness = max(0, self._clock - state.last_contact)
+        return (
+            tuple(state.answer.tolist()),
+            state.k,
+            staleness,
+            staleness > state.transport.suspect_after_ticks,
+            self.confidence(source_id),
+        )
 
     def value(self, source_id: str) -> np.ndarray:
         """The server's current best value for a source (query answer)."""

@@ -567,39 +567,44 @@ class StreamEngine(ResilienceShell):
         """
         out = []
         for query in self.registry.active_queries:
-            source = self._sources.get(query.source_id)
-            if source is None or not self._server.is_primed(query.source_id):
-                continue
-            value = self._server.value(query.source_id)
-            live = self._server.liveness(query.source_id)
-            if self._tel.enabled:
-                self._tel.observe(
-                    "staleness_at_answer_ticks",
-                    int(live["staleness_ticks"]),
-                    source_id=query.source_id,
-                )
-            out.append(
-                QueryAnswer(
-                    query_id=query.query_id,
-                    source_id=query.source_id,
-                    k=self._server.stats(query.source_id)["last_k"],
-                    value=tuple(float(v) for v in value),
-                    # The honest precision bound: overload shedding may
-                    # have widened the effective δ (scale 1.0 leaves the
-                    # figure bit-identical to the configured width).
-                    precision=source.effective_min_delta,
-                    staleness_ticks=int(live["staleness_ticks"]),
-                    confidence=self._server.confidence(query.source_id),
-                    # While the server process is down, clients read the
-                    # cached last-known answer -- always degraded.
-                    degraded=bool(live["suspect"]) or self._server_down,
-                    quarantined=(
-                        self._watchdog is not None
-                        and self._watchdog.is_quarantined(query.source_id)
-                    ),
-                )
-            )
+            answer = self._answer_for(query)
+            if answer is not None:
+                out.append(answer)
         return out
+
+    def _answer_for(self, query: ContinuousQuery) -> QueryAnswer | None:
+        source = self._sources.get(query.source_id)
+        if source is None:
+            return None
+        fields = self._server.answer_fields(query.source_id)
+        if fields is None:
+            return None
+        value, k, staleness, suspect, confidence = fields
+        if self._tel.enabled:
+            self._tel.observe(
+                "staleness_at_answer_ticks",
+                staleness,
+                source_id=query.source_id,
+            )
+        return QueryAnswer(
+            query_id=query.query_id,
+            source_id=query.source_id,
+            k=k,
+            value=value,
+            # The honest precision bound: overload shedding may have
+            # widened the effective δ (scale 1.0 leaves the figure
+            # bit-identical to the configured width).
+            precision=source.effective_min_delta,
+            staleness_ticks=staleness,
+            confidence=confidence,
+            # While the server process is down, clients read the cached
+            # last-known answer -- always degraded.
+            degraded=suspect or self._server_down,
+            quarantined=(
+                self._watchdog is not None
+                and self._watchdog.is_quarantined(query.source_id)
+            ),
+        )
 
     # Crash recovery -------------------------------------------------------
 

@@ -47,7 +47,7 @@ from repro.dsms.linkfaults import apply_latency_overrides, layer_link_faults
 from repro.dsms.network import LinkConfig, NetworkFabric
 from repro.dsms.query import ContinuousQuery, QueryAnswer
 from repro.dsms.registry import SourceRegistry
-from repro.errors import ConfigurationError, UnknownSourceError
+from repro.errors import ConfigurationError, QueryError, UnknownSourceError
 from repro.federation.config import FederationConfig
 from repro.federation.consensus import (
     ConsensusRoundInfo,
@@ -956,24 +956,27 @@ class FederatedCluster:
         """
         out = []
         for query in self.registry.active_queries:
-            source = self._sources.get(query.source_id)
-            if source is None:
-                continue
-            answer = self._answer_for(query, source, peer_id)
+            answer = self._answer_for(query, peer_id)
             if answer is not None:
                 out.append(answer)
         return out
 
     def answer(self, query_id: str, peer_id: str | None = None) -> QueryAnswer:
         """The current answer for one query (optionally one peer's view)."""
-        for candidate in self.answers(peer_id):
-            if candidate.query_id == query_id:
-                return candidate
-        raise UnknownSourceError(f"no answer available for query {query_id!r}")
+        try:
+            found = self._answer_for(self.registry.query(query_id), peer_id)
+        except QueryError:
+            found = None
+        if found is None:
+            raise UnknownSourceError(f"no answer available for query {query_id!r}")
+        return found
 
     def _answer_for(
-        self, query: ContinuousQuery, source: DKFSource, peer_id: str | None
+        self, query: ContinuousQuery, peer_id: str | None
     ) -> QueryAnswer | None:
+        source = self._sources.get(query.source_id)
+        if source is None:
+            return None
         stream = query.source_id
         home_id = self._home[stream]
         if peer_id is None:
@@ -986,16 +989,13 @@ class FederatedCluster:
         peer = self.peer(peer_id)
         if not peer.alive:
             return None
-        if (
-            stream in peer.server.source_ids
-            and peer.server.is_primed(stream)
-        ):
+        if stream in peer.server and peer.server.is_primed(stream):
             return self._bank_answer(query, source, peer, home_id)
         home = self._peers[home_id]
         if (
             home.alive
             and self._peer_reachable(peer_id, home_id)
-            and stream in home.server.source_ids
+            and stream in home.server
             and home.server.is_primed(stream)
         ):
             proxied = self._bank_answer(query, source, home, home_id)
@@ -1013,17 +1013,13 @@ class FederatedCluster:
     def _serving_peer(self, stream: str) -> PeerNode | None:
         """The default serving bank: home, else the freshest replica."""
         home = self._peers[self._home[stream]]
-        if (
-            home.alive
-            and stream in home.server.source_ids
-            and home.server.is_primed(stream)
-        ):
+        if home.alive and stream in home.server and home.server.is_primed(stream):
             return home
         holders = [
             self._peers[pid]
             for pid in self._replicas.get(stream, [])
             if self._peers[pid].alive
-            and stream in self._peers[pid].server.source_ids
+            and stream in self._peers[pid].server
             and self._peers[pid].server.is_primed(stream)
         ]
         if not holders:
@@ -1042,10 +1038,10 @@ class FederatedCluster:
         record: bool = False,
     ) -> QueryAnswer | None:
         stream = query.source_id
-        if not peer.server.is_primed(stream):
+        fields = peer.server.answer_fields(stream)
+        if fields is None:
             return None
-        value = peer.server.value(stream)
-        live = peer.server.liveness(stream)
+        value, k, staleness, suspect, confidence = fields
         is_home = peer.peer_id == home_id and self._peers[home_id].alive
         if is_home:
             consensus_error = 0.0
@@ -1057,7 +1053,7 @@ class FederatedCluster:
             # since the cut is stale however recently it "agreed" with
             # itself.
             drift = self._drift[stream]
-            stale_bound = drift * max(1, int(live["staleness_ticks"]))
+            stale_bound = drift * max(1, staleness)
             info = peer.consensus.get(stream)
             if info is not None:
                 consensus_error = max(
@@ -1065,7 +1061,7 @@ class FederatedCluster:
                 )
             else:
                 consensus_error = stale_bound
-        degraded = bool(live["suspect"]) or not is_home
+        degraded = suspect or not is_home
         if (
             self._faults is not None
             and self._faults.partition_active(self._ticks)
@@ -1078,20 +1074,16 @@ class FederatedCluster:
             # serving view records -- per-peer diagnostic views would
             # report a replica's honest-but-wide bound as if it were the
             # answer the system served.
-            self._tel.observe(
-                "staleness_at_answer_ticks",
-                int(live["staleness_ticks"]),
-                stream,
-            )
+            self._tel.observe("staleness_at_answer_ticks", staleness, stream)
             self._tel.gauge("consensus_error", float(consensus_error), stream)
         return QueryAnswer(
             query_id=query.query_id,
             source_id=stream,
-            k=int(peer.server.stats(stream)["last_k"]),
-            value=tuple(float(v) for v in value),
+            k=int(k),
+            value=value,
             precision=source.effective_min_delta,
-            staleness_ticks=int(live["staleness_ticks"]),
-            confidence=peer.server.confidence(stream),
+            staleness_ticks=staleness,
+            confidence=confidence,
             degraded=degraded,
             consensus_error=float(consensus_error),
         )

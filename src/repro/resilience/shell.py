@@ -10,7 +10,7 @@ same code, held here once.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError, UnknownSourceError
+from repro.errors import ConfigurationError, QueryError, UnknownSourceError
 from repro.obs.exporters import build_snapshot
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.resilience.checkpoint import CheckpointStore, build_checkpoint
@@ -24,7 +24,8 @@ __all__ = ["ResilienceShell"]
 class ResilienceShell:
     """Guards, crash/recovery skeleton and reports shared by the engines.
 
-    Subclasses provide ``answers()`` and ``report()`` plus how their
+    Subclasses provide ``answers()``, ``_answer_for(query)`` (one
+    query's answer, None when it has none) and ``report()`` plus how their
     server state is exported (:meth:`_export_server`), reset
     (:meth:`_reset_server`), restored (:meth:`_import_source`), replayed
     (:meth:`_replay_wal`) and rolled forward (:meth:`_roll_forward`), and
@@ -101,11 +102,14 @@ class ResilienceShell:
         return self._supervisor
 
     def answer(self, query_id: str):
-        """The current answer for one query."""
-        for candidate in self.answers():
-            if candidate.query_id == query_id:
-                return candidate
-        raise UnknownSourceError(f"no answer available for query {query_id!r}")
+        """The current answer for one query, built alone (no scan)."""
+        try:
+            found = self._answer_for(self.registry.query(query_id))
+        except QueryError:
+            found = None
+        if found is None:
+            raise UnknownSourceError(f"no answer available for query {query_id!r}")
+        return found
 
     # Checkpoints ----------------------------------------------------------
 

@@ -486,9 +486,31 @@ class ServerCore:
         if not self.bank.is_primed(row):
             return 0.0
         s = self.bank.innovation_covariance_row(row)
-        sigma = float(np.sqrt(max(np.max(np.diag(s)), 0.0)))
+        sigma = float(np.sqrt(max(s.diagonal().max(), 0.0)))
         delta = float(self.min_delta[row])
         return delta / (delta + sigma)
+
+    def answer_columns(self, clock: int, rows: np.ndarray) -> tuple:
+        """``(primed, k, value, staleness, suspect, confidence)`` of ``rows``.
+
+        Arrays in one read (``value`` is ``(len(rows), m)``): liveness
+        against ``clock``, and :meth:`confidence` from one batched
+        innovation covariance over the primed rows (0 where unprimed).
+        """
+        staleness = np.maximum(0, clock - self.last_contact[rows])
+        primed = self.bank.primed_rows(rows)
+        confidence = np.zeros(len(rows))
+        live = rows[primed]
+        if live.size:
+            s = self.bank.innovation_covariance(live)
+            peak = s.diagonal(axis1=1, axis2=2).max(axis=1)
+            sigma = np.sqrt(np.maximum(peak, 0.0))
+            delta = self.min_delta[live]
+            confidence[primed] = delta / (delta + sigma)
+        return (
+            primed, self.last_k[rows], self.answer[rows], staleness,
+            staleness > self.suspect_after[rows], confidence,
+        )
 
     def forecast(self, source_id: str, steps: int) -> np.ndarray:
         """Extrapolate a source's value ``steps`` instants ahead."""

@@ -172,6 +172,10 @@ class VectorKalmanBank:
         """Whether the row has absorbed its priming measurement."""
         return bool(self._primed[row])
 
+    def primed_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The primed flags of ``rows`` (no copy of the whole mask)."""
+        return self._primed[rows]
+
     def p0_row(self, row: int) -> np.ndarray:
         """One row's configured initial covariance ``I * p0_scale``."""
         return self._eye * self._p0_scale[row]

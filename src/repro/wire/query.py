@@ -261,7 +261,8 @@ class QueryServer:
 
     def _answers(self, request: dict) -> dict:
         limit = request.get("limit", 10)
-        if not isinstance(limit, int) or limit < 1:
+        # bool is an int subclass: ``true`` is not a count.
+        if type(limit) is not int or limit < 1:
             return {"error": "limit must be a positive integer"}
         rows = []
         for source_id in self._wire.dkf.source_ids:
@@ -276,7 +277,7 @@ class QueryServer:
         steps = request.get("steps", 1)
         if not isinstance(source_id, str):
             return {"error": "forecast needs a source_id"}
-        if not isinstance(steps, int) or steps < 1:
+        if type(steps) is not int or steps < 1:
             return {"error": "steps must be a positive integer"}
         try:
             trajectory = self._wire.dkf.forecast(source_id, steps)

@@ -106,6 +106,53 @@ def test_dispatch_forecast_and_stats():
     assert "wire" in stats and "inbox_depth" in stats
 
 
+def test_dispatch_answers_equals_the_per_source_answers_in_row_order():
+    config = WireConfig(sources=6, ticks=8, ramp_ticks=1, tick_seconds=0.5)
+    server = WireServer(config)
+    query = QueryServer(server, config)
+    assert query.dispatch_line(b'{"op": "answers"}') == {
+        "answers": [], "count": 0
+    }
+    ids = [f"s{i}" for i in range(6)]
+    for source_id in ids:
+        server.register(
+            source_id, DKFConfig(model=constant_model(dims=1), delta=1.0)
+        )
+    primed = ["s1", "s2", "s4", "s5"]
+    for i, source_id in enumerate(primed):
+        server.dkf.advance_clock(i)
+        server.dkf.receive(
+            UpdateMessage(source_id, 0, i, np.array([1.5 * i - 2.0]))
+        )
+    server.dkf.take_outbox()
+    server.dkf.advance_clock(9)
+    for limit in (1, 3, 4, 50):
+        got = query.dispatch_line(
+            json.dumps({"op": "answers", "limit": limit}).encode()
+        )
+        expected = [
+            query.dispatch_line(
+                json.dumps({"op": "answer", "source_id": sid}).encode()
+            )
+            for sid in primed[:limit]
+        ]
+        assert json.dumps(got) == json.dumps(
+            {"answers": expected, "count": len(expected)}
+        )
+
+
+def test_dispatch_refuses_boolean_counts():
+    config, server = _served_server()
+    _prime(server)
+    query = QueryServer(server, config)
+    assert query.dispatch_line(b'{"op": "answers", "limit": true}') == {
+        "error": "limit must be a positive integer"
+    }
+    assert query.dispatch_line(
+        b'{"op": "forecast", "source_id": "s0", "steps": true}'
+    ) == {"error": "steps must be a positive integer"}
+
+
 def test_dispatch_rejects_garbage_without_dropping_state():
     config, server = _served_server()
     query = QueryServer(server, config)
