@@ -556,10 +556,10 @@ __all__ += ["encode_message", "decode_message", "CRC_BYTES"]
 # Bulk codec (same frames, many at a time)
 # ----------------------------------------------------------------------
 #
-# A plain update of one measurement dimension is a fixed-size record, so a
-# receiver holding a batch reads their fields as numpy columns, and a
-# sender holding columns of ack fields packs them without a message
-# object each.  The CRC-32 stays per frame.
+# A plain update of one measurement dimension, and an ack, are fixed-size
+# records, so a receiver holding a batch reads their fields as numpy
+# columns, and a sender holding columns of fields packs them without a
+# message object each.  The CRC-32 stays per frame.
 
 
 def update_frame_dtype(measurement_dim: int) -> np.dtype:
@@ -584,6 +584,33 @@ def decode_update_frames(
         ``crc``) and, per frame, whether its CRC-32 trailer matches its
         body.  The source hash is *not* resolved here.
     """
+    return _decode_records(frames, dtype)
+
+
+#: The ack frame (tag 0x04) as a packed big-endian record.
+_ACK_FRAME = np.dtype([
+    ("tag", "u1"), ("hash", ">u4"), ("seq", ">u4"), ("k", ">u4"),
+    ("flags", "u1"), ("crc", ">u4"),
+])
+
+
+def decode_ack_frames(frames: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Read ack frames as one record array.
+
+    Args:
+        frames: Datagrams, each exactly ``AckMessage.size_bytes`` (18)
+            bytes long.
+
+    Returns:
+        The records (fields ``tag``, ``hash``, ``seq``, ``k``,
+        ``flags``, ``crc``) and, per frame, whether its CRC-32 trailer
+        matches its body.  Neither the tag nor the source hash is
+        checked here; bit 0 of ``flags`` is ``resync_requested``.
+    """
+    return _decode_records(frames, _ACK_FRAME)
+
+
+def _decode_records(frames, dtype) -> tuple[np.ndarray, np.ndarray]:
     timers = _CODEC_TIMERS
     if timers is not None:
         timers.start("codec.decode")
@@ -626,4 +653,38 @@ def encode_ack_frames(hashes, seqs, ks, resync_flags) -> list[bytes]:
             timers.stop("codec.encode")
 
 
-__all__ += ["update_frame_dtype", "decode_update_frames", "encode_ack_frames"]
+def encode_update_frames(hashes, seqs, ks, values) -> list[bytes]:
+    """Pack one plain update frame per entry of the four columns.
+
+    ``values`` holds one measurement per row (shape ``(n,)`` or
+    ``(n, m)``).  Byte-identical to ``encode_message(UpdateMessage(...))``
+    for the source whose header hash is given: the fields are written
+    into one big-endian record array and each frame is cut from its
+    bytes and sealed with its own CRC-32.
+    """
+    timers = _CODEC_TIMERS
+    if timers is not None:
+        timers.start("codec.encode")
+    try:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            values = values[:, np.newaxis]
+        dtype = update_frame_dtype(values.shape[1])
+        records = np.empty(len(hashes), dtype=dtype)
+        records["tag"] = _TAG_UPDATE
+        records["hash"], records["seq"], records["k"] = hashes, seqs, ks
+        records["value"] = values
+        raw, size = records.tobytes(), dtype.itemsize
+        seal, crc32, body = _CRC.pack, zlib.crc32, size - CRC_BYTES
+        frames = []
+        for start in range(0, len(raw), size):
+            frame = raw[start : start + body]
+            frames.append(frame + seal(crc32(frame)))
+        return frames
+    finally:
+        if timers is not None:
+            timers.stop("codec.encode")
+
+
+__all__ += ["update_frame_dtype", "decode_update_frames", "encode_update_frames"]
+__all__ += ["decode_ack_frames", "encode_ack_frames"]

@@ -33,18 +33,22 @@ import socket
 import struct
 import time
 import zlib
+from itertools import compress
 
 import numpy as np
 
 from repro.dkf.config import DKFConfig, TransportPolicy
 from repro.dkf.protocol import (
+    CRC_BYTES,
+    HEADER_BYTES,
     AckMessage,
     HeartbeatMessage,
     ResyncMessage,
-    UpdateMessage,
     build_source_index,
+    decode_ack_frames,
     decode_message,
     encode_message,
+    encode_update_frames,
 )
 from repro.dkf.source import DKFSource
 from repro.dkf.stepper import SourceStepper
@@ -63,6 +67,9 @@ __all__ = ["LiteFleet", "StepperFleet", "collision_free_ids"]
 
 #: Random-walk step scale for simulated stream values.
 _WALK_SIGMA = 0.5
+#: PROTOCOL.md §5 ack frame: type tag and length (header, flags, CRC).
+_TAG_ACK = 0x04
+_ACK_BYTES = HEADER_BYTES + 1 + CRC_BYTES
 
 
 def collision_free_ids(count: int, prefix: str = "s") -> list[str]:
@@ -125,11 +132,48 @@ class _FleetSocket:
             self._sock.close()
             self._sock = None
 
-    def take_acks(self) -> list[bytes]:
-        """Datagrams received since the last call (ack payloads)."""
-        out = self._ack_buf
-        self._ack_buf = []
-        return out
+    def drain_acks(self, index: dict[int, str]):
+        """Decode and book the datagrams received since the last call.
+
+        Ack frames are read as columns (:func:`~repro.dkf.protocol.
+        decode_ack_frames`); any other datagram gets ``decode_message``'s
+        verdict.  Every datagram lands in one of ``frames_decoded``,
+        ``frames_corrupt`` or ``frames_unknown``.
+
+        Returns:
+            The intact acks of registered sources, in arrival order, as
+            four lists: source id, seq, k and the resync-request flag.
+        """
+        received, self._ack_buf = self._ack_buf, []
+        counters = self.counters
+        frames = []
+        for data in received:
+            if len(data) == _ACK_BYTES and data[0] == _TAG_ACK:
+                frames.append(data)
+                continue
+            try:
+                decode_message(data, index, state_dim=self._config.state_dim)
+            except CorruptMessageError:
+                counters.frames_corrupt += 1
+            except (ConfigurationError, ValueError, struct.error):
+                counters.frames_unknown += 1
+            else:
+                counters.frames_decoded += 1
+        records, intact = decode_ack_frames(frames)
+        ids = list(map(index.get, records["hash"].tolist()))
+        known = intact & np.fromiter(
+            (source_id is not None for source_id in ids), bool, len(ids)
+        )
+        counters.frames_corrupt += len(frames) - int(intact.sum())
+        counters.frames_unknown += int((intact & ~known).sum())
+        counters.frames_decoded += int(known.sum())
+        acks = records[known]
+        return (
+            list(compress(ids, known.tolist())),
+            acks["seq"].tolist(),
+            acks["k"].tolist(),
+            (acks["flags"] & 1).tolist(),
+        )
 
     def install_shaper(self, shaper) -> None:
         """Route sends through ``shaper(payload, addr, raw_send)``.
@@ -227,6 +271,8 @@ class LiteFleet:
         self._index = build_source_index(self.source_ids)
         self._slot = {sid: i for i, sid in enumerate(self.source_ids)}
         n = config.sources
+        # Header hash per slot: the index was filled in slot order.
+        self._hashes = np.fromiter(self._index, dtype=np.uint32, count=n)
         setup = np.random.default_rng([config.seed, 1])
         self.first_tick = setup.integers(
             0, config.ramp_ticks, n, dtype=np.int64
@@ -326,42 +372,32 @@ class LiteFleet:
 
     # Per-tick traffic -----------------------------------------------------
 
-    def _on_ack(self, ack: AckMessage, tick: int) -> None:
-        slot = self._slot.get(ack.source_id)
-        if slot is None:
-            return
-        self.acks_received += 1
-        if ack.resync_requested:
-            self.needs_resync[slot] = True
-            self.resyncs_requested += 1
-        if ack.seq > self.acked_seq[slot]:
-            self.acked_seq[slot] = ack.seq
-        acked = ack.seq  # cumulative: everything below this is settled
-        if acked >= self.next_seq[slot]:
-            self.pending[slot] = -1
-            self.pending_attempt[slot] = 0
-        elif self.pending[slot] != -1 and acked > self.pending[slot]:
-            self.pending[slot] = acked
-            self.pending_attempt[slot] = 0
-            self.pending_deadline[slot] = (
-                tick + self._transport.retry_timeout(0)
-            )
-
     def _drain_acks(self, tick: int) -> None:
-        for data in self._net.take_acks():
-            try:
-                message = decode_message(
-                    data, self._index, state_dim=self._config.state_dim
-                )
-            except CorruptMessageError:
-                self._net.counters.frames_corrupt += 1
-                continue
-            except (ConfigurationError, ValueError, struct.error):
-                self._net.counters.frames_unknown += 1
-                continue
-            self._net.counters.frames_decoded += 1
-            if isinstance(message, AckMessage):
-                self._on_ack(message, tick)
+        """Run each received ack through the pending-ack state machine.
+
+        Acks apply one at a time in arrival order (two for one source
+        in one drain see each other's effect).  ``ack.seq`` is
+        cumulative: everything below it is settled.
+        """
+        ids, seqs, _, flags = self._net.drain_acks(self._index)
+        slot_of = self._slot.__getitem__
+        next_seq, pending = self.next_seq, self.pending
+        attempt, acked_seq = self.pending_attempt, self.acked_seq
+        deadline = tick + self._transport.retry_timeout(0)
+        self.acks_received += len(ids)
+        for slot, acked, resync in zip(map(slot_of, ids), seqs, flags):
+            if resync:
+                self.needs_resync[slot] = True
+                self.resyncs_requested += 1
+            if acked > acked_seq[slot]:
+                acked_seq[slot] = acked
+            if acked >= next_seq[slot]:
+                pending[slot] = -1
+                attempt[slot] = 0
+            elif pending[slot] != -1 and acked > pending[slot]:
+                pending[slot] = acked
+                attempt[slot] = 0
+                self.pending_deadline[slot] = deadline
 
     async def step_tick(self, tick: int) -> int:
         """Offer one tick of fleet traffic; returns datagrams offered."""
@@ -427,26 +463,19 @@ class LiteFleet:
                 tick + self._transport.retry_timeout(attempt)
             )
             self.resyncs_sent += 1
-        for slot in np.flatnonzero(update_due):
-            seq = int(self.next_seq[slot])
-            frames.append(
-                encode_message(
-                    UpdateMessage(
-                        source_id=self.source_ids[slot],
-                        seq=seq,
-                        k=tick,
-                        value=np.array([self.value[slot]]),
-                    )
-                )
-            )
-            self.next_seq[slot] = seq + 1
-            if self.pending[slot] == -1:
-                self.pending[slot] = seq
-                self.pending_attempt[slot] = 0
-                self.pending_deadline[slot] = (
-                    tick + self._transport.retry_timeout(0)
-                )
-            self.updates_sent += 1
+        slots = np.flatnonzero(update_due)
+        seqs = self.next_seq[slots]
+        frames += encode_update_frames(
+            self._hashes[slots], seqs, tick, self.value[slots]
+        )
+        self.next_seq[slots] = seqs + 1
+        fresh = self.pending[slots] == -1
+        self.pending[slots[fresh]] = seqs[fresh]
+        self.pending_attempt[slots[fresh]] = 0
+        self.pending_deadline[slots[fresh]] = (
+            tick + self._transport.retry_timeout(0)
+        )
+        self.updates_sent += len(slots)
         for slot in np.flatnonzero(heartbeat_due):
             frames.append(
                 encode_message(
@@ -561,25 +590,16 @@ class StepperFleet:
                 self._steppers[slot].source.set_delta_scale(scale)
 
     def _drain_acks(self, tick: int) -> None:
-        for data in self._net.take_acks():
-            try:
-                message = decode_message(
-                    data, self._index, state_dim=self._config.state_dim
-                )
-            except CorruptMessageError:
-                self._net.counters.frames_corrupt += 1
-                continue
-            except (ConfigurationError, ValueError, struct.error):
-                self._net.counters.frames_unknown += 1
-                continue
-            self._net.counters.frames_decoded += 1
-            if isinstance(message, AckMessage):
-                slot = self._slot.get(message.source_id)
-                if slot is not None:
-                    self.acks_received += 1
-                    if message.seq > self.acked_seq[slot]:
-                        self.acked_seq[slot] = message.seq
-                    self._steppers[slot].on_ack(message, tick)
+        for source_id, seq, k, resync in zip(
+            *self._net.drain_acks(self._index)
+        ):
+            slot = self._slot[source_id]
+            self.acks_received += 1
+            if seq > self.acked_seq[slot]:
+                self.acked_seq[slot] = seq
+            self._steppers[slot].on_ack(
+                AckMessage(source_id, seq, k, bool(resync)), tick
+            )
 
     def settle(self, tick: int) -> None:
         """Drain late acks without offering new traffic (run teardown)."""

@@ -21,12 +21,14 @@ bank's own contract there is 1e-10, ``tests/scale/test_vector_bank.py``),
 so the 2-d model's generated resync snapshots carry diagonal
 covariances.
 
-The codec pins at the bottom hold the bulk decoder and the ack packer to
-``decode_message`` / ``encode_message`` field for field and byte for
-byte.
+The codec pins at the bottom hold the bulk decoders and packers to
+``decode_message`` / ``encode_message`` field for field, verdict for
+verdict and byte for byte.
 """
 
 import json
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,15 +42,18 @@ from repro.dkf.protocol import (
     ResyncMessage,
     UpdateMessage,
     build_source_index,
+    decode_ack_frames,
     decode_message,
     decode_update_frames,
     encode_ack_frames,
     encode_message,
+    encode_update_frames,
     update_frame_dtype,
 )
 from repro.dkf.server import DKFServer
 from repro.errors import (
     ConfigurationError,
+    CorruptMessageError,
     DuplicateSourceError,
     UnknownSourceError,
 )
@@ -340,3 +345,87 @@ def test_packed_ack_frames_equal_encode_message_byte_for_byte():
         [ack.resync_requested for ack in acks],
     )
     assert frames == [encode_message(ack) for ack in acks]
+
+
+_u32 = st.integers(0, 2**32 - 1)
+# Every float a value column can hold: -0.0, subnormals and +-inf come
+# with st.floats; NaNs come as arbitrary bit patterns, payloads included.
+_any_float = st.one_of(
+    st.floats(width=64),
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    rows=st.lists(st.tuples(_u32, _u32, _u32), min_size=0, max_size=12),
+    data=st.data(),
+)
+def test_packed_update_frames_equal_encode_message_byte_for_byte(m, rows, data):
+    values = [
+        data.draw(st.lists(_any_float, min_size=m, max_size=m)) for _ in rows
+    ]
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), 3).T
+    z = np.array(values, dtype=float).reshape(len(rows), m)
+    frames = encode_update_frames(*columns, z)
+    # The header carries whatever _source_hash gives the id: pin it to
+    # the drawn hash so any 32-bit value can be checked.
+    with mock.patch("repro.dkf.protocol._source_hash", int):
+        expected = [
+            encode_message(UpdateMessage(str(key), seq, k, np.array(value)))
+            for (key, seq, k), value in zip(rows, values)
+        ]
+    assert frames == expected
+    if m == 1:  # a flat column is one measurement per row
+        assert encode_update_frames(*columns, z.ravel()) == expected
+
+
+def _verdict(data: bytes, index: dict[int, str]):
+    try:
+        return decode_message(data, index)
+    except CorruptMessageError:
+        return "corrupt"
+    except ConfigurationError:
+        return "unknown"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    acks=st.lists(
+        st.tuples(
+            _u32, _u32, _u32, st.booleans(),
+            st.booleans(),  # the hash is registered
+            st.one_of(st.none(), st.integers(0, 18 * 8 - 1)),  # bit flipped
+        ),
+        max_size=16,
+    )
+)
+def test_bulk_decoded_acks_get_decode_message_s_verdict(acks):
+    index = {key: f"src-{key}" for key, *_, known, _ in acks if known}
+    frames = encode_ack_frames(*(
+        [ack[i] for ack in acks] for i in range(4)
+    ))
+    for i, (*_, flip) in enumerate(acks):
+        if flip is not None:
+            frame = bytearray(frames[i])
+            frame[flip // 8] ^= 1 << (flip % 8)
+            frames[i] = bytes(frame)
+    records, intact = decode_ack_frames(frames)
+    for i, frame in enumerate(frames):
+        source_id = index.get(int(records["hash"][i]))
+        if not intact[i]:
+            bulk = "corrupt"
+        elif source_id is None:
+            bulk = "unknown"
+        else:
+            bulk = AckMessage(
+                source_id,
+                int(records["seq"][i]),
+                int(records["k"][i]),
+                bool(records["flags"][i] & 1),
+            )
+        assert bulk == _verdict(frame, index)
+        assert intact[i] == (acks[i][5] is None)

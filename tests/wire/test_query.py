@@ -219,6 +219,33 @@ async def _idle_timeout_case():
         await query.close()
 
 
+def test_an_overlong_line_is_refused_and_the_connection_closed():
+    asyncio.run(_line_too_long_case())
+
+
+async def _line_too_long_case():
+    config, server = _served_server()
+    query = QueryServer(server, config)
+    host, port = await query.start()
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        # One good request, then 70 000 bytes with no newline: past the
+        # stream's line limit, so the reader gives up on the line.
+        writer.write(b'{"op": "ping"}\n' + b"x" * 70_000)
+        await writer.drain()
+        assert json.loads(await asyncio.wait_for(reader.readline(), 5.0))[
+            "ok"
+        ] is True
+        line = await asyncio.wait_for(reader.readline(), 5.0)
+        assert json.loads(line) == {"error": "line too long"}
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        writer.close()
+        await writer.wait_closed()
+        assert query.poison.reasons["line_too_long"] == 1
+    finally:
+        await query.close()
+
+
 def test_connection_cap_rejects_excess_admissions():
     asyncio.run(_connection_cap_case())
 

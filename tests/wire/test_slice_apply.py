@@ -9,15 +9,17 @@ future-epoch frame, a heartbeat, a digest update and a resync followed
 by an update of the same source -- to the real server and to the rules
 the scalar server applied one datagram at a time, and require the same
 counters, poison reasons, ack bytes in the same order, and final state.
-The rest pins the ``drain_per_tick`` allowance mid-batch, the frames no
-source sends, and registration (incremental index, linear bulk set-up).
-Every await is bounded.
+The rest pins the ``drain_per_tick`` allowance mid-batch, the batch shape
+a slice hands the core (counted, on a fake clock), the frames no source
+sends, and registration (incremental index, linear bulk set-up).  Every
+await is bounded.
 """
 
 import asyncio
 import json
 import struct
 import time
+import types
 import zlib
 
 import numpy as np
@@ -36,8 +38,9 @@ from repro.dkf.protocol import (
 from repro.dkf.server import DKFServer
 from repro.errors import ConfigurationError, CorruptMessageError
 from repro.filters.models import constant_model, linear_model
+from repro.wire import server as server_module
 from repro.wire.config import WireConfig
-from repro.wire.datagram import corrupt_datagram
+from repro.wire.datagram import SLICE_BUDGET_S, corrupt_datagram
 from repro.wire.fleet import collision_free_ids
 from repro.wire.server import WireServer
 
@@ -227,6 +230,64 @@ async def _capped() -> None:
         assert server.inbox_depth == len(batch) - 2 * allowance
     finally:
         server.close()
+
+
+class _CostedCore:
+    """Count core apply calls; each advances a fake clock by its cost."""
+
+    def __init__(self, server: WireServer, per_frame_s: float) -> None:
+        self.now = 0.0
+        self.sizes: list[int] = []
+        apply = server.dkf.apply_updates
+
+        def counted(rows, *args):
+            self.sizes.append(len(rows))
+            self.now += len(rows) * per_frame_s
+            return apply(rows, *args)
+
+        server.dkf.apply_updates = counted
+
+
+def _queued_slice(monkeypatch, queued: int, service_s: float, cost_s: float):
+    """Queue plain updates, run one slice on a fake clock, count calls."""
+    ids = collision_free_ids(queued)
+    server = WireServer(WireConfig(sources=queued, ticks=4, ramp_ticks=1))
+    server.register_fleet(ids, DKF_CONFIG)
+    server.dkf.advance_clock(CLOCK)
+    core = _CostedCore(server, cost_s)
+    monkeypatch.setattr(
+        server_module, "time", types.SimpleNamespace(perf_counter=lambda: core.now)
+    )
+    for i, source_id in enumerate(ids):
+        server._on_datagram(_update(source_id, 0, 1.0), ("127.0.0.1", 40000 + i))
+    server._service_s = service_s
+    server._run_slice()  # unopened: the slice does not re-arm itself
+    return server, core.sizes
+
+
+def test_a_slice_applies_what_fits_its_budget_in_at_most_two_calls(monkeypatch):
+    cost = SLICE_BUDGET_S / 100  # the budget buys 100 frames
+    server, sizes = _queued_slice(monkeypatch, 80, service_s=cost, cost_s=cost)
+    assert len(sizes) <= 2 and sum(sizes) == 80, sizes
+    assert server.inbox_depth == 0
+    stats = server.apply_stats()
+    assert stats["bank_calls"] == len(sizes)
+    assert stats["bank_applied"] == stats["datagrams_applied"] == 80
+
+
+def test_an_underestimated_service_time_overruns_by_one_batch(monkeypatch):
+    cost = SLICE_BUDGET_S / 100
+    # Ten times too low: the slice drains ten budgets' worth in one
+    # batch, applies it whole and ends there.
+    server, sizes = _queued_slice(
+        monkeypatch, 3000, service_s=cost / 10, cost_s=cost
+    )
+    assert len(sizes) == 1 and 900 <= sizes[0] <= 1000, sizes
+    assert server.inbox_depth == 3000 - sizes[0]
+    assert server.apply_stats()["slices"] == 1
+    # The overrun is measured: the next slice's batch is smaller.
+    server._run_slice()
+    assert len(sizes) == 2 and sizes[1] < sizes[0] / 2, sizes
 
 
 def test_frames_no_source_sends_are_refused_not_raised():
