@@ -483,12 +483,31 @@ class ServerCore:
     def confidence(self, source_id: str) -> float:
         """``delta / (delta + sigma)`` from the coasting covariance."""
         row = self._row(source_id)
-        if not self.bank.is_primed(row):
-            return 0.0
+        return self._confidence(row) if self.bank.is_primed(row) else 0.0
+
+    def _confidence(self, row: int) -> float:
         s = self.bank.innovation_covariance_row(row)
         sigma = float(np.sqrt(max(s.diagonal().max(), 0.0)))
         delta = float(self.min_delta[row])
         return delta / (delta + sigma)
+
+    def row_liveness(self, row: int) -> tuple[int, bool]:
+        """``(staleness_ticks, suspect)`` of one row against the clock."""
+        staleness = max(0, self.clock - int(self.last_contact[row]))
+        return staleness, staleness > int(self.suspect_after[row])
+
+    def answer_fields(self, source_id: str) -> tuple | None:
+        """``(value, k, staleness_ticks, suspect, confidence)``; None unprimed.
+
+        ``DKFServer.answer_fields`` from one row, for a one-source query.
+        """
+        row = self._row(source_id)
+        if not self.bank.is_primed(row):
+            return None
+        return (
+            tuple(self.answer[row].tolist()), int(self.last_k[row]),
+            *self.row_liveness(row), self._confidence(row),
+        )
 
     def answer_columns(self, clock: int, rows: np.ndarray) -> tuple:
         """``(primed, k, value, staleness, suspect, confidence)`` of ``rows``.
@@ -521,12 +540,11 @@ class ServerCore:
     def liveness(self, source_id: str) -> dict[str, int | bool]:
         """``staleness_ticks`` / ``suspect`` / ``last_contact`` verdict."""
         row = self._row(source_id)
-        last_contact = int(self.last_contact[row])
-        staleness = max(0, self.clock - last_contact)
+        staleness, suspect = self.row_liveness(row)
         return {
             "staleness_ticks": staleness,
-            "suspect": staleness > int(self.suspect_after[row]),
-            "last_contact": last_contact,
+            "suspect": suspect,
+            "last_contact": int(self.last_contact[row]),
         }
 
     def primed_count(self) -> int:

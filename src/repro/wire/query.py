@@ -18,7 +18,7 @@ than dropping the connection; protocol errors on one line never poison
 the next.
 
 Adversarial-input posture (PROTOCOL.md §9): every connection carries a
-per-read idle deadline (the slow-loris guard), admissions past
+per-line idle deadline (the slow-loris guard), admissions past
 ``query_max_connections`` get one error line and an immediate close,
 each peer address is governed by a token bucket when
 ``query_rate_limit_per_s`` is set, and *no* request -- malformed,
@@ -32,6 +32,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
+
 from repro.errors import UnknownSourceError
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.wire.config import WireConfig
@@ -42,6 +44,89 @@ __all__ = ["QueryServer", "query_line"]
 
 #: Hard cap on one request line; anything longer is a protocol error.
 _MAX_LINE_BYTES = 65536
+
+#: One compact encoder for every reply; ``json.dumps(..., separators=...)``
+#: would build a new one per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _Connection(asyncio.Protocol):
+    """One query connection, served from loop callbacks.
+
+    Every complete line in a received chunk is answered synchronously
+    and the chunk's replies leave in one ``transport.write``.  The idle
+    deadline moves only when a complete line arrives and the one timer
+    re-arms itself lazily; a full write buffer pauses reading.
+    """
+
+    def __init__(self, query: QueryServer) -> None:
+        self._query = query
+        self._buffer = b""
+        self._timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        query = self._query
+        if len(query._connections) >= query._config.query_max_connections:
+            query.poison.reject("too_many_connections")
+            transport.write(b'{"error": "too many connections"}\n')
+            transport.close()
+            return
+        query._connections.add(self)
+        peername = transport.get_extra_info("peername")
+        self._peer = peername[0] if peername else "?"
+        self._loop = asyncio.get_running_loop()
+        self._idle_s = query._config.query_idle_timeout_s
+        self._deadline = self._loop.time() + self._idle_s
+        self._timer = self._loop.call_at(self._deadline, self._idle)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer + data if self._buffer else data
+        reply, peer = self._query._reply, self._peer
+        replies = []
+        start, end = 0, buffer.find(b"\n")
+        while end >= 0 and end - start <= _MAX_LINE_BYTES:
+            replies.append(reply(buffer[start:end + 1], peer))
+            start, end = end + 1, buffer.find(b"\n", end + 1)
+        self._buffer = buffer[start:]
+        if replies:
+            self._deadline = self._loop.time() + self._idle_s
+        if end >= 0 or len(self._buffer) > _MAX_LINE_BYTES:
+            replies.append('{"error": "line too long"}')
+            self._refuse("line_too_long", replies)
+        elif replies:
+            self.transport.write(("\n".join(replies) + "\n").encode())
+
+    def eof_received(self) -> None:
+        # An unterminated last line is served, as ``readline`` returns it.
+        if self._buffer:
+            reply = self._query._reply(self._buffer, self._peer)
+            self.transport.write(reply.encode() + b"\n")
+        # Returning None closes the transport once the replies are out.
+
+    def _idle(self) -> None:
+        if self.transport.is_closing():
+            return
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._idle)
+        else:
+            self._refuse("idle_timeout", ['{"error": "idle timeout"}'])
+
+    def _refuse(self, reason: str, replies: list[str]) -> None:
+        self._query.poison.reject(reason)
+        self.transport.write(("\n".join(replies) + "\n").encode())
+        self.transport.close()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._query._connections.discard(self)
 
 
 class QueryServer:
@@ -71,8 +156,7 @@ class QueryServer:
             poison if poison is not None else PoisonLedger(telemetry)
         )
         self._server: asyncio.AbstractServer | None = None
-        self._handlers: set[asyncio.Task] = set()
-        self._closing = False
+        self._connections: set[_Connection] = set()
         self._buckets: dict[str, tuple[float, float]] = {}
         self.queries_served = 0
 
@@ -82,92 +166,40 @@ class QueryServer:
         ``port`` overrides the configured TCP port -- the hot-restart
         path uses it to come back on the exact endpoint clients hold.
         """
-        self._server = await asyncio.start_server(
-            self._handle,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self),
             self._config.host,
             self._config.tcp_port if port is None else port,
-            limit=_MAX_LINE_BYTES,
         )
         return self._server.sockets[0].getsockname()
 
     async def close(self) -> None:
-        """Stop accepting, reap open connections, close the listener.
+        """Stop accepting, close open connections, close the listener.
 
-        Open handler tasks are cancelled and awaited here; leaving them
-        pending would push the cancellation into loop teardown, where
-        asyncio logs it as an unretrieved exception.  ``wait_for`` hands
-        a handler its line instead of the cancellation when both land in
-        one loop pass; the flag ends that handler after the reply.
+        A closed transport still sends the replies already written to
+        it, then EOF.
         """
         if self._server is not None:
-            self._closing = True
             self._server.close()
-            for task in list(self._handlers):
-                task.cancel()
-            if self._handlers:
-                await asyncio.gather(
-                    *self._handlers, return_exceptions=True
-                )
+            # Two loop passes, one to poll and one to run the read
+            # callbacks: lines already in the kernel are served, and the
+            # close sends FIN after their replies, not a reset over
+            # unread input.
+            for _ in range(2):
+                await asyncio.sleep(0)
+            for connection in list(self._connections):
+                connection.transport.close()
             await self._server.wait_closed()
             self._server = None
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        try:
-            if len(self._handlers) > self._config.query_max_connections:
-                self.poison.reject("too_many_connections")
-                writer.write(b'{"error": "too many connections"}\n')
-                await writer.drain()
-                return
-            peername = writer.get_extra_info("peername")
-            peer = peername[0] if peername else "?"
-            while not self._closing:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(),
-                        self._config.query_idle_timeout_s,
-                    )
-                except asyncio.TimeoutError:
-                    self.poison.reject("idle_timeout")
-                    writer.write(b'{"error": "idle timeout"}\n')
-                    await writer.drain()
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.poison.reject("line_too_long")
-                    writer.write(b'{"error": "line too long"}\n')
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if self._admit(peer):
-                    response = self.dispatch_line(line)
-                else:
-                    self.poison.reject("rate_limited")
-                    response = {"error": "rate limited"}
-                writer.write(
-                    json.dumps(response, separators=(",", ":")).encode()
-                    + b"\n"
-                )
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Orderly shutdown from close().  Finishing the task instead
-            # of dying cancelled matters: asyncio's stream protocol
-            # retrieves task.exception() in a loop callback, which
-            # *raises* for a cancelled task and logs a spurious error.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+    def _reply(self, line: bytes, peer: str) -> str:
+        """One request line's JSON reply, admission first."""
+        if self._admit(peer):
+            # Looked up per call, so a wrapper set on the instance sees
+            # every line.
+            return _encode(self.dispatch_line(line))
+        self.poison.reject("rate_limited")
+        return '{"error":"rate limited"}'
 
     # Admission ------------------------------------------------------------
 
@@ -233,11 +265,15 @@ class QueryServer:
             return {"error": "answer needs a source_id"}
         dkf = self._wire.dkf
         try:
-            liveness = dkf.liveness(source_id)
+            fields = dkf.answer_fields(source_id)
         except UnknownSourceError:
             return {"error": f"unknown source {source_id!r}"}
-        staleness_ms = liveness["staleness_ticks"] * self._config.tick_ms
-        primed = dkf.is_primed(source_id)
+        primed = fields is not None
+        if primed:
+            value, _, staleness_ticks, suspect, confidence = fields
+        else:
+            staleness_ticks, suspect = dkf.row_liveness(dkf.index[source_id])
+        staleness_ms = staleness_ticks * self._config.tick_ms
         quarantined = (
             self._wire.watchdog is not None
             and self._wire.watchdog.is_quarantined(source_id)
@@ -246,13 +282,13 @@ class QueryServer:
             "source_id": source_id,
             "primed": primed,
             "staleness_ms": staleness_ms,
-            "suspect": bool(liveness["suspect"]),
-            "degraded": bool(liveness["suspect"]) or not primed,
+            "suspect": suspect,
+            "degraded": suspect or not primed,
             "quarantined": quarantined,
         }
         if primed:
-            out["value"] = [float(v) for v in dkf.value(source_id)]
-            out["confidence"] = dkf.confidence(source_id)
+            out["value"] = list(value)
+            out["confidence"] = confidence
         if self._tel.enabled:
             self._tel.observe(
                 "staleness_at_answer_ticks", staleness_ms, unit="ms"
@@ -264,12 +300,13 @@ class QueryServer:
         # bool is an int subclass: ``true`` is not a count.
         if type(limit) is not int or limit < 1:
             return {"error": "limit must be a positive integer"}
-        rows = []
-        for source_id in self._wire.dkf.source_ids:
-            if len(rows) >= limit:
-                break
-            if self._wire.dkf.is_primed(source_id):
-                rows.append(self._answer({"source_id": source_id}))
+        dkf = self._wire.dkf
+        mask = () if dkf.bank is None else dkf.bank.primed
+        primed = np.flatnonzero(mask)[:limit]
+        rows = [
+            self._answer({"source_id": dkf.ids[row]})
+            for row in primed.tolist()
+        ]
         return {"answers": rows, "count": len(rows)}
 
     def _forecast(self, request: dict) -> dict:

@@ -9,7 +9,8 @@ through the core in random batch cuts (plain updates of a cut in one
 ``apply_updates`` call, everything else by ``receive``).  The two must
 agree on every observable: the ack sequence, the exported checkpoint
 state as canonical JSON bytes, ``stats``, ``value``, ``confidence``,
-``forecast`` and ``liveness``.  Not 1e-10: bytes.
+``forecast`` and ``liveness``, and ``answer_fields`` after every step
+the core has caught up with.  Not 1e-10: bytes.
 
 Byte equality is what the wire needs (its chaos report and restart
 drill compare state byte for byte) and what the bank gives wherever a
@@ -205,6 +206,9 @@ def test_core_matches_the_scalar_server_message_for_message(model_name, ops):
                 core.receive(message)
         if cut:
             _flush(core, run)
+        if not run:
+            for sid in SOURCES:
+                assert core.answer_fields(sid) == reference.answer_fields(sid)
     _flush(core, run)
 
     assert core.take_outbox() == reference.take_outbox()

@@ -184,7 +184,7 @@ def test_dispatch_line_fuzz_total_over_seeded_garbage():
 def test_dispatch_handler_error_is_caught_and_typed():
     config, server = _server()
     query = QueryServer(server, config)
-    server.dkf.liveness = None  # sabotage: handler bug, not input error
+    server.dkf.answer_fields = None  # sabotage: handler bug, not input error
     out = query.dispatch_line(
         b'{"op": "answer", "source_id": "s0"}'
     )

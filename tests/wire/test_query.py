@@ -4,11 +4,15 @@ Most cases drive :meth:`QueryServer.dispatch_line` directly -- the
 protocol is line-in, JSON-out, so the dispatch table is testable
 without a socket.  One test runs the full stack: a real listener, a
 real client connection, malformed lines mixed with good ones, and the
-staleness/quarantine honesty flags served over the wire.
+staleness/quarantine honesty flags served over the wire.  The socket
+tests at the bottom pin the connection layer's contract: pipelining,
+partial lines, the per-line idle deadline, EOF, backpressure and the
+line cap.
 """
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 
@@ -372,3 +376,205 @@ async def _close_in_flight_case(passes):
         assert rest == b"" or json.loads(rest)["ok"] is True
     finally:
         writer.close()
+
+
+# Socket contract of the connection layer ---------------------------------
+
+
+def _reply_bytes(query, line: bytes) -> bytes:
+    return (
+        json.dumps(query.dispatch_line(line), separators=(",", ":")) + "\n"
+    ).encode()
+
+
+async def _closed_by_server(reader, writer) -> None:
+    assert await asyncio.wait_for(reader.read(), 5.0) == b""
+    writer.close()
+    await writer.wait_closed()
+
+
+def test_pipelined_lines_in_one_write_get_replies_in_order():
+    asyncio.run(_pipelined_case())
+
+
+async def _pipelined_case():
+    config, server = _served_server()
+    _prime(server, value=3.0)
+    query = QueryServer(server, config)
+    host, port = await query.start()
+    kinds = [
+        b'{"op": "ping"}',
+        b'{"op": "answer", "source_id": "s0"}',
+        b'{"op": "answer", "source_id": "ghost"}',
+        b"garbage",
+        b'{"op": "forecast", "source_id": "s0", "steps": 2}',
+        b'{"op": "answers", "limit": 1}',
+        b"",
+    ]
+    lines = [kinds[i % len(kinds)] + b"\n" for i in range(200)]
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"".join(lines))
+        await writer.drain()
+        got = [
+            await asyncio.wait_for(reader.readline(), 5.0) for _ in lines
+        ]
+        writer.write_eof()
+        await _closed_by_server(reader, writer)
+        assert got == [_reply_bytes(query, line) for line in lines]
+    finally:
+        await query.close()
+
+
+def test_a_request_written_byte_by_byte_is_answered_once_complete():
+    asyncio.run(_byte_by_byte_case())
+
+
+async def _byte_by_byte_case():
+    config, server = _served_server()
+    query = QueryServer(server, config)
+    host, port = await query.start()
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        request = b'{"op": "ping"}\n'
+        for byte in request[:-1]:
+            writer.write(bytes([byte]))
+            await writer.drain()
+            await asyncio.sleep(0.001)
+        await asyncio.sleep(0.05)
+        assert query.queries_served == 0
+        writer.write(request[-1:])
+        line = await asyncio.wait_for(reader.readline(), 5.0)
+        assert json.loads(line)["ok"] is True
+        writer.write_eof()
+        await _closed_by_server(reader, writer)
+        assert query.queries_served == 1
+    finally:
+        await query.close()
+
+
+def test_a_dribbling_loris_is_still_evicted_at_the_idle_deadline():
+    asyncio.run(_dribbling_loris_case())
+
+
+async def _dribbling_loris_case():
+    _, server = _served_server()
+    config = WireConfig(
+        sources=1, ticks=8, ramp_ticks=1, tick_seconds=0.5,
+        query_idle_timeout_s=0.3,
+    )
+    query = QueryServer(server, config)
+    host, port = await query.start()
+
+    async def dribble(writer):
+        # A byte every 50 ms, never a newline: bytes are not lines.
+        for _ in range(200):
+            writer.write(b" ")
+            await asyncio.sleep(0.05)
+
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        started = asyncio.get_running_loop().time()
+        dribbler = asyncio.ensure_future(dribble(writer))
+        line = await asyncio.wait_for(reader.readline(), 5.0)
+        waited = asyncio.get_running_loop().time() - started
+        dribbler.cancel()
+        await asyncio.gather(dribbler, return_exceptions=True)
+        assert json.loads(line) == {"error": "idle timeout"}
+        assert 0.25 <= waited < 2.0
+        await _closed_by_server(reader, writer)
+        assert query.poison.reasons["idle_timeout"] == 1
+    finally:
+        await query.close()
+
+
+def test_an_unterminated_last_line_before_eof_is_served():
+    asyncio.run(_unterminated_case())
+
+
+async def _unterminated_case():
+    config, server = _served_server()
+    query = QueryServer(server, config)
+    host, port = await query.start()
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b'{"op": "ping"}\n{"op": "ping"}')
+        writer.write_eof()
+        replies = await asyncio.wait_for(reader.read(), 5.0)
+        assert replies == _reply_bytes(query, b'{"op": "ping"}') * 2
+        writer.close()
+        await writer.wait_closed()
+    finally:
+        await query.close()
+
+
+def test_a_client_that_never_reads_pauses_the_server_reading():
+    asyncio.run(_never_reads_case())
+
+
+async def _never_reads_case():
+    config, server = _served_server()
+    _prime(server)
+    query = QueryServer(server, config)
+    host, port = await query.start()
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        (connection,) = query._connections
+        # A small, fixed kernel send buffer on the server's side, so the
+        # kernel absorbs few replies and the server's own buffer fills.
+        # (Tiny *receive* windows would stall loopback TCP instead.)
+        connection.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+        )
+        line = b'{"op": "forecast", "source_id": "s0", "steps": 500}\n'
+        count = 400  # 1.4 MB of replies, were they all buffered
+        for _ in range(count):
+            writer.write(line)
+            await asyncio.sleep(0)
+        for _ in range(500):
+            if not connection.transport.is_reading():
+                break
+            await asyncio.sleep(0.01)
+        assert not connection.transport.is_reading()
+        served = query.queries_served
+        buffered = connection.transport.get_write_buffer_size()
+        await asyncio.sleep(0.1)
+        assert query.queries_served == served < count
+        assert connection.transport.get_write_buffer_size() == buffered
+        assert buffered < 512 * 1024
+        # Reading resumes the server; every request is answered.
+        expected = _reply_bytes(query, line)
+        assert b'"forecast"' in expected
+        for _ in range(count):
+            assert await asyncio.wait_for(reader.readline(), 5.0) == expected
+        writer.write_eof()
+        await _closed_by_server(reader, writer)
+    finally:
+        await query.close()
+
+
+def test_a_line_over_the_cap_inside_a_chunk_is_refused_after_the_rest():
+    asyncio.run(_overlong_in_chunk_case())
+
+
+async def _overlong_in_chunk_case():
+    config, server = _served_server()
+    query = QueryServer(server, config)
+    host, port = await query.start()
+    ping = b'{"op": "ping"}\n'
+    at_cap = b"x" * 65536 + b"\n"  # served: a bad_json reply
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(ping * 3 + at_cap + b"x" * 65537 + b"\n" + ping)
+        await writer.drain()
+        got = [
+            await asyncio.wait_for(reader.readline(), 5.0) for _ in range(5)
+        ]
+        await _closed_by_server(reader, writer)
+        assert got[:4] == [_reply_bytes(query, ping)] * 3 + [
+            _reply_bytes(query, at_cap)
+        ]
+        assert json.loads(got[4]) == {"error": "line too long"}
+        assert query.poison.reasons["line_too_long"] == 1
+    finally:
+        await query.close()
