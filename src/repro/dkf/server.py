@@ -29,6 +29,7 @@ answers can degrade honestly instead of serving stale estimates as fresh.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -303,7 +304,7 @@ class DKFServer:
     def _receive_update(self, message: UpdateMessage) -> np.ndarray | None:
         state = self._state(message.source_id)
         self._touch(state)
-        if not bool(np.all(np.isfinite(message.value))):
+        if not np.isfinite(message.value).all():
             return self._reject_nonfinite(state, message)
         if message.seq < state.expected_seq:
             if self._strict:
@@ -395,10 +396,10 @@ class DKFServer:
     def _receive_resync(self, message: ResyncMessage) -> np.ndarray | None:
         state = self._state(message.source_id)
         self._touch(state)
-        if not bool(
-            np.all(np.isfinite(message.x))
-            and np.all(np.isfinite(message.p))
-            and np.all(np.isfinite(message.value))
+        if not (
+            np.isfinite(message.x).all()
+            and np.isfinite(message.p).all()
+            and np.isfinite(message.value).all()
         ):
             return self._reject_nonfinite(state, message)
         healed = state.desynced
@@ -465,7 +466,7 @@ class DKFServer:
         if state.filter is None:
             return 0.0
         innovation_cov = state.filter.innovation_covariance()
-        sigma = float(np.sqrt(max(innovation_cov.diagonal().max(), 0.0)))
+        sigma = math.sqrt(max(innovation_cov.diagonal().max(), 0.0))
         delta = state.config.min_delta
         return delta / (delta + sigma)
 
@@ -577,12 +578,10 @@ class DKFServer:
         model = state.config.model
         p0 = np.eye(model.state_dim) * state.config.p0_scale
         x = state.filter.x
-        if bool(np.all(np.isfinite(x))):
+        if np.isfinite(x).all():
             state.filter.set_state(x, p0)
         else:
-            if state.answer is not None and bool(
-                np.all(np.isfinite(state.answer))
-            ):
+            if state.answer is not None and np.isfinite(state.answer).all():
                 z0 = np.asarray(state.answer, dtype=float)
             else:
                 z0 = np.zeros(model.measurement_dim)
@@ -593,9 +592,7 @@ class DKFServer:
             state.filter.set_clock(clock)
             if self._tel.enabled:
                 state.filter.instrument(self._tel.timers)
-            if state.answer is None or not bool(
-                np.all(np.isfinite(state.answer))
-            ):
+            if state.answer is None or not np.isfinite(state.answer).all():
                 state.answer = state.filter.predict_measurement()
         if state.nis_window is not None:
             state.nis_window.clear()

@@ -141,6 +141,8 @@ class DKFSource:
         # the source transmits less under server pressure.  1.0 keeps the
         # arithmetic byte-identical to an unscaled source.
         self._delta_scale = 1.0
+        self._delta = config.delta_vector()  # DKFConfig is frozen
+        self._delta.flags.writeable = False
 
     @property
     def source_id(self) -> str:
@@ -240,7 +242,7 @@ class DKFSource:
 
     def _effective_delta_vector(self) -> np.ndarray:
         """Per-component widths after overload widening."""
-        widths = self._config.delta_vector()
+        widths = self._delta
         if self._delta_scale != 1.0:
             widths = widths * self._delta_scale
         return widths
@@ -284,7 +286,7 @@ class DKFSource:
         self._samples_seen += 1
         self._k = record.k
 
-        if not bool(np.all(np.isfinite(raw))):
+        if not np.isfinite(raw).all():
             # Sensor fault (NaN/inf): discard the reading before it can
             # poison the smoother or the filters.  The mirror still
             # advances one prediction step so it stays in lock-step with
@@ -340,9 +342,9 @@ class DKFSource:
         self._mirror.predict()
         prediction = self._mirror.predict_measurement()
         abs_errors = np.abs(prediction - value)
-        error = float(np.max(abs_errors))
+        error = float(abs_errors.max())
         gated = False
-        if bool(np.any(abs_errors > self._effective_delta_vector())):
+        if (abs_errors > self._effective_delta_vector()).any():
             if self._should_gate(value, prediction):
                 # Glitch: skip both the transmission and the correction,
                 # so the mirror and the server coast identically.
@@ -422,7 +424,7 @@ class DKFSource:
             self._consecutive_gated = 0
             return False
         abs_errors = np.abs(value - prediction)
-        if bool(np.any(abs_errors > factor * self._effective_delta_vector())):
+        if (abs_errors > factor * self._effective_delta_vector()).any():
             self._consecutive_gated += 1
             self._readings_gated += 1
             return True

@@ -22,6 +22,11 @@ mirror of the server filter at the remote source without communication.
 Time-varying models are supported by passing callables ``k -> matrix`` for
 ``phi``/``H``/``Q``/``R`` (the sinusoidal power-load model of Section 4.2
 has ``phi_k`` depend on the time index).
+
+Constant matrices are resolved once per *model*: every filter a
+:class:`~repro.filters.models.StateSpaceModel` builds shares its one
+:class:`ModelMatrices` bundle, which nothing writes.  A time-varying model
+resolves a bundle per instant and runs the same arithmetic on it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +51,7 @@ MatrixLike = np.ndarray | Callable[[int], np.ndarray]
 __all__ = [
     "KalmanFilter",
     "KalmanStep",
+    "ModelMatrices",
     "resolve_matrix",
     "check_covariance",
     "phi_power",
@@ -106,6 +113,38 @@ def resolve_matrix(m: MatrixLike, k: int) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+class ModelMatrices:
+    """``phi``, ``phi^T``, ``H``, ``H^T``, ``Q``, ``R`` and ``I_n`` at one instant.
+
+    The transposes are views, so each product reads the layout an inline
+    ``phi.T`` would.  Never written once built; a deep copy returns it.
+    """
+
+    __slots__ = ("phi", "phi_t", "h", "h_t", "q", "r", "eye")
+
+    def __init__(self, phi: MatrixLike, h: MatrixLike, q: MatrixLike,
+                 r: MatrixLike, k: int = 0) -> None:
+        self.phi, self.h = resolve_matrix(phi, k), resolve_matrix(h, k)
+        self.q, self.r = resolve_matrix(q, k), resolve_matrix(r, k)
+        self.phi_t, self.h_t = self.phi.T, self.h.T
+        self.eye = _identity(self.phi.shape[0])
+
+    def __deepcopy__(self, memo: dict) -> "ModelMatrices":
+        return self
+
+    @staticmethod
+    def shared(*matrices: MatrixLike) -> "ModelMatrices | None":
+        """A constant model's bundle, for its filters to share; None if time-varying."""
+        return None if any(map(callable, matrices)) else ModelMatrices(*matrices)
+
+
 def check_covariance(p: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Validate that ``p`` is a symmetric positive semi-definite matrix.
 
@@ -160,6 +199,8 @@ class KalmanFilter:
         r: Measurement noise covariance (``m x m``), or callable.
         x0: Initial state estimate (``n``,).
         p0: Initial estimate covariance (``n x n``).  Defaults to identity.
+        matrices: The model's :meth:`ModelMatrices.shared` bundle, shared
+            by its filters; resolved here when omitted.
 
     The filter's clock starts at ``k = 0`` (the index of the *next* cycle).
     Call :meth:`predict` once per sampling instant; call :meth:`update`
@@ -180,34 +221,34 @@ class KalmanFilter:
         r: MatrixLike,
         x0: np.ndarray,
         p0: np.ndarray | None = None,
+        matrices: ModelMatrices | None = None,
     ) -> None:
         self._phi = phi
         self._h = h
         self._q = q
         self._r = r
+        # None: time-varying, so each call resolves its instant's bundle.
+        self._shared = matrices or ModelMatrices.shared(phi, h, q, r)
 
         x0 = np.asarray(x0, dtype=float).reshape(-1)
-        phi0 = resolve_matrix(phi, 0)
-        h0 = resolve_matrix(h, 0)
-        n = phi0.shape[0]
-        if phi0.shape != (n, n):
-            raise DimensionError(f"phi must be square, got {phi0.shape}")
+        m0 = self._shared or self._resolve(0)
+        n = m0.phi.shape[0]
+        if m0.phi.shape != (n, n):
+            raise DimensionError(f"phi must be square, got {m0.phi.shape}")
         if x0.shape != (n,):
             raise DimensionError(f"x0 must have shape ({n},), got {x0.shape}")
-        if h0.shape[1] != n:
+        if m0.h.shape[1] != n:
             raise DimensionError(
-                f"H must have {n} columns to match the state, got {h0.shape}"
+                f"H must have {n} columns to match the state, got {m0.h.shape}"
             )
         self._n = n
-        self._m = h0.shape[0]
+        self._m = m0.h.shape[0]
 
-        q0 = resolve_matrix(q, 0)
-        if q0.shape != (n, n):
-            raise DimensionError(f"Q must have shape ({n},{n}), got {q0.shape}")
-        r0 = resolve_matrix(r, 0)
-        if r0.shape != (self._m, self._m):
+        if m0.q.shape != (n, n):
+            raise DimensionError(f"Q must have shape ({n},{n}), got {m0.q.shape}")
+        if m0.r.shape != (self._m, self._m):
             raise DimensionError(
-                f"R must have shape ({self._m},{self._m}), got {r0.shape}"
+                f"R must have shape ({self._m},{self._m}), got {m0.r.shape}"
             )
 
         if p0 is None:
@@ -215,9 +256,9 @@ class KalmanFilter:
         self._x = x0.copy()
         self._p = check_covariance(p0, "P0")
         self._k = 0
-        self._has_prior = False
-        self._x_prior = self._x.copy()
-        self._p_prior = self._p.copy()
+        # Prior and posterior share arrays until update(); none is written.
+        self._x_prior = self._x
+        self._p_prior = self._p
 
     # ------------------------------------------------------------------
     # Introspection
@@ -268,6 +309,9 @@ class KalmanFilter:
         """
         self._timers = timers
 
+    def _resolve(self, k: int) -> ModelMatrices:
+        return ModelMatrices(self._phi, self._h, self._q, self._r, k)
+
     def phi_at(self, k: int) -> np.ndarray:
         """State transition matrix at time index ``k``."""
         return resolve_matrix(self._phi, k)
@@ -303,17 +347,13 @@ class KalmanFilter:
         if timers is not None:
             timers.start("kalman.predict")
         try:
-            phi = resolve_matrix(self._phi, self._k)
-            q = resolve_matrix(self._q, self._k)
-            self._x_prior = phi @ self._x
-            self._p_prior = phi @ self._p @ phi.T + q
+            m = self._shared or self._resolve(self._k)
             # Coast by default: posterior mirrors the prior until update()
             # runs.
-            self._x = self._x_prior.copy()
-            self._p = self._p_prior.copy()
+            self._x = self._x_prior = m.phi @ self._x
+            self._p = self._p_prior = m.phi @ self._p @ m.phi_t + m.q
             self._k += 1
-            self._has_prior = True
-            if not np.all(np.isfinite(self._x)):
+            if not np.isfinite(self._x).all():
                 raise DivergenceError(f"state became non-finite at k={self._k}")
             return self._x_prior.copy()
         finally:
@@ -326,8 +366,7 @@ class KalmanFilter:
         After :meth:`predict` this is the one-step-ahead measurement
         prediction the DKF protocol compares against the sensor reading.
         """
-        h = resolve_matrix(self._h, max(self._k - 1, 0))
-        return h @ self._x
+        return (self._shared or self._resolve(max(self._k - 1, 0))).h @ self._x
 
     def update(self, z: np.ndarray) -> np.ndarray:
         """Fold measurement ``z`` into the estimate: the *correction* half.
@@ -346,31 +385,28 @@ class KalmanFilter:
         if timers is not None:
             timers.start("kalman.update")
         try:
-            z = np.atleast_1d(np.asarray(z, dtype=float)).reshape(-1)
+            z = np.asarray(z, dtype=float).reshape(-1)
             if z.shape != (self._m,):
                 raise DimensionError(
                     f"z must have shape ({self._m},), got {z.shape}"
                 )
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 # Reject before touching any state: the caller can discard
                 # the reading and the filter remains usable.
                 raise NonFiniteMeasurementError(
                     "measurement contains NaN or infinity"
                 )
-            k_idx = max(self._k - 1, 0)
-            h = resolve_matrix(self._h, k_idx)
-            r = resolve_matrix(self._r, k_idx)
-
-            innovation = z - h @ self._x
-            s = h @ self._p @ h.T + r
+            m = self._shared or self._resolve(max(self._k - 1, 0))
+            innovation = z - m.h @ self._x
+            s = m.h @ self._p @ m.h_t + m.r
             # K = P H^T S^{-1}, solved without forming an explicit inverse.
-            gain = np.linalg.solve(s.T, (self._p @ h.T).T).T
+            gain = np.linalg.solve(s.T, (self._p @ m.h_t).T).T
 
             self._x = self._x + gain @ innovation
-            i_kh = np.eye(self._n) - gain @ h
-            self._p = i_kh @ self._p @ i_kh.T + gain @ r @ gain.T
-            self._p = 0.5 * (self._p + self._p.T)
-            if not np.all(np.isfinite(self._x)):
+            i_kh = m.eye - gain @ m.h
+            p = i_kh @ self._p @ i_kh.T + gain @ m.r @ gain.T
+            self._p = 0.5 * (p + p.T)
+            if not np.isfinite(self._x).all():
                 raise DivergenceError(f"state became non-finite at k={self._k}")
             return self._x.copy()
         finally:
@@ -389,11 +425,10 @@ class KalmanFilter:
         if z is None:
             return KalmanStep(k=k, x_prior=x_prior, x_post=self.x, z_pred=z_pred)
         innovation = np.atleast_1d(np.asarray(z, dtype=float)) - z_pred
-        h = resolve_matrix(self._h, k)
+        m = self._shared or self._resolve(k)
         p_prior = self._p
-        r = resolve_matrix(self._r, k)
-        s = h @ p_prior @ h.T + r
-        gain = np.linalg.solve(s.T, (p_prior @ h.T).T).T
+        s = m.h @ p_prior @ m.h_t + m.r
+        gain = np.linalg.solve(s.T, (p_prior @ m.h_t).T).T
         self.update(z)
         return KalmanStep(
             k=k,
@@ -458,10 +493,8 @@ class KalmanFilter:
 
     def innovation_covariance(self) -> np.ndarray:
         """Innovation covariance ``S = H P H^T + R`` at the current step."""
-        k_idx = max(self._k - 1, 0)
-        h = resolve_matrix(self._h, k_idx)
-        r = resolve_matrix(self._r, k_idx)
-        return h @ self._p @ h.T + r
+        m = self._shared or self._resolve(max(self._k - 1, 0))
+        return m.h @ self._p @ m.h_t + m.r
 
     def set_state(self, x: np.ndarray, p: np.ndarray | None = None) -> None:
         """Overwrite the posterior estimate (used when re-seeding a filter).
@@ -492,9 +525,10 @@ class KalmanFilter:
         """Deep copy of the filter, including its clock and covariances.
 
         The DKF protocol creates the mirror filter this way so that both
-        sides start from bit-identical state.
+        sides start from bit-identical state; the model's matrices are shared.
         """
-        return copy.deepcopy(self)
+        shared = (self._phi, self._h, self._q, self._r)
+        return copy.deepcopy(self, {id(m): m for m in shared})
 
     def state_digest(self) -> tuple[int, bytes]:
         """Cheap fingerprint ``(k, bytes(x))`` used for desync detection."""

@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionError
-from repro.filters.kalman import KalmanFilter, MatrixLike, resolve_matrix
+from repro.filters.kalman import KalmanFilter, MatrixLike, ModelMatrices, resolve_matrix
 
 __all__ = [
     "StateSpaceModel",
@@ -74,6 +75,11 @@ class StateSpaceModel:
     measurement_dim: int
     initializer: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
+    @cached_property
+    def matrices(self) -> ModelMatrices | None:
+        """The bundle every filter of this model shares (None: time-varying)."""
+        return ModelMatrices.shared(self.phi, self.h, self.q, self.r)
+
     def initial_state(self, z0: np.ndarray) -> np.ndarray:
         """Initial state vector derived from the first measurement."""
         z0 = np.atleast_1d(np.asarray(z0, dtype=float)).reshape(-1)
@@ -109,7 +115,7 @@ class StateSpaceModel:
         x0 = self.initial_state(z0)
         if p0 is None:
             p0 = np.eye(self.state_dim) * p0_scale
-        return KalmanFilter(self.phi, self.h, self.q, self.r, x0, p0)
+        return KalmanFilter(self.phi, self.h, self.q, self.r, x0, p0, self.matrices)
 
 
 def _diag(value: float | np.ndarray, size: int, name: str) -> np.ndarray:

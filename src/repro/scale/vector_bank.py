@@ -1,14 +1,14 @@
 """Vectorized Kalman filter bank: N homogeneous streams in stacked arrays.
 
-The scalar :class:`~repro.filters.kalman.KalmanFilter` spends most of its
-per-reading budget on Python dispatch, not arithmetic: the matrices for the
-paper's models are tiny (2x2 for the linear model), so the ~20 numpy calls
-per predict/update cycle dominate.  :class:`VectorKalmanBank` stacks the
-state of N streams that share one :class:`~repro.filters.models.StateSpaceModel`
-into ``(N, n)`` / ``(N, n, n)`` arrays and runs the *same* arithmetic --
-identical operation order, identical associativity -- as batched matmul and
-einsum calls, so the per-stream Python overhead is amortised across the
-whole bank.
+The scalar :class:`~repro.filters.kalman.KalmanFilter` resolves its model's
+matrices once per model, so a cycle costs its arithmetic: some twenty numpy
+calls on 1x1 to 4x4 matrices at a fixed 1-3 µs each (shared 2-vCPU Xeon VM,
+linear model with ``dims=2``: ~7 µs per ``predict``, ~31 µs per ``update``,
+~11 µs of it ``np.linalg.solve``).  :class:`VectorKalmanBank` stacks N
+streams of one :class:`~repro.filters.models.StateSpaceModel` into
+``(N, n)`` / ``(N, n, n)`` arrays and runs the *same* arithmetic --
+identical operation order and associativity -- as batched matmul and einsum
+calls, paying each call's fixed cost once for the whole bank.
 
 Exactness contract: every batched expression below mirrors the scalar
 filter's evaluation order (e.g. ``(phi @ P) @ phi.T + Q`` rather than an

@@ -1,10 +1,21 @@
 """Unit tests for the discrete Kalman filter core."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import DimensionError, DivergenceError, NotPositiveDefiniteError
+from repro.errors import (
+    DimensionError,
+    DivergenceError,
+    NonFiniteMeasurementError,
+    NotPositiveDefiniteError,
+)
 from repro.filters.kalman import KalmanFilter, check_covariance, resolve_matrix
+from repro.filters.models import constant_model, linear_model
 
 
 def scalar_filter(q=0.05, r=0.05, x0=0.0, p0=1.0):
@@ -400,3 +411,151 @@ class TestNonFiniteMeasurements:
         from repro.errors import NonFiniteMeasurementError
 
         assert issubclass(NonFiniteMeasurementError, DivergenceError)
+
+
+# ---------------------------------------------------------------------------
+# Shared constant matrices: same bits as per-instant resolution, less memory
+# ---------------------------------------------------------------------------
+
+MODELS = {
+    "constant-1d": constant_model(1),
+    "constant-2d": constant_model(2),
+    "linear-1d": linear_model(dims=1, dt=0.1),
+    # 4 states, m = 2, dense P after a set_state: the case where the
+    # vector bank is only 1e-10 close to this filter, not bit-equal.
+    "linear-2d": linear_model(dims=2, dt=0.1),
+}
+_finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+_op = st.tuples(
+    st.sampled_from(
+        ("predict", "predict", "update", "nonfinite", "step", "set_state",
+         "set_clock", "forecast")
+    ),
+    st.lists(_finite, min_size=20, max_size=20),
+    st.integers(0, 40),
+    st.booleans(),
+)
+
+
+def _callable_twin(model, z0, p0_scale):
+    """The same model with every matrix behind ``lambda k: matrix``, so the
+    filter resolves its matrices per instant instead of sharing them."""
+    matrices = (model.phi, model.h, model.q, model.r)
+    return KalmanFilter(
+        *(lambda k, a=a: a for a in matrices),
+        model.initial_state(z0),
+        np.eye(model.state_dim) * p0_scale,
+    )
+
+
+def _apply(flt, kind, floats, number, flag, n, m):
+    """One op on one filter; returns whatever the op returns, as bytes."""
+    z = np.array(floats[:m])
+    if kind == "predict":
+        return flt.predict().tobytes()
+    if kind == "update":
+        return flt.update(z).tobytes()
+    if kind == "nonfinite":
+        z[number % m] = (np.nan, np.inf, -np.inf)[number % 3]
+        with pytest.raises(NonFiniteMeasurementError):
+            flt.update(z)
+        return b""
+    if kind == "step":
+        step = flt.step(None if flag else z)
+        fields = (step.x_prior, step.x_post, step.z_pred)
+        extra = () if flag else (step.innovation, step.gain)
+        return b"|".join(a.tobytes() for a in (*fields, *extra))
+    if kind == "set_state":
+        a = np.array(floats[: n * n] * n)[: n * n].reshape(n, n)
+        p = a @ a.T / 1e3 + np.eye(n) * 0.5
+        flt.set_state(np.array((floats * n)[-n:]), p if flag else None)
+        return b""
+    if kind == "set_clock":
+        flt.set_clock(number)
+        return b""
+    return flt.forecast(number % 4).tobytes()
+
+
+def _observe(flt):
+    k, digest = flt.state_digest()
+    arrays = (
+        flt.x, flt.p, flt.x_prior, flt.p_prior,
+        flt.predict_measurement(), flt.innovation_covariance(),
+    )
+    return flt.k, k, digest, [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+@settings(max_examples=60, deadline=None)
+@given(
+    z0=st.lists(_finite, min_size=2, max_size=2),
+    p0_scale=st.floats(0.1, 10.0),
+    ops=st.lists(_op, min_size=1, max_size=40),
+)
+def test_shared_matrices_give_the_bits_of_per_instant_resolution(
+    model_name, z0, p0_scale, ops
+):
+    model = MODELS[model_name]
+    n, m = model.state_dim, model.measurement_dim
+    z0 = np.array(z0[:m])
+    shared = model.build_filter(z0, p0_scale=p0_scale)
+    twin = _callable_twin(model, z0, p0_scale)
+    assert _observe(shared) == _observe(twin)
+    prior = None
+    for kind, floats, number, flag in ops:
+        got = _apply(shared, kind, floats, number, flag, n, m)
+        assert got == _apply(twin, kind, floats, number, flag, n, m)
+        assert _observe(shared) == _observe(twin)
+        # The prior shares its arrays with the posterior until update()
+        # replaces them: no later op may write through to it.
+        if kind in ("predict", "step"):
+            prior = shared.x_prior.tobytes(), shared.p_prior.tobytes()
+        elif prior is not None:
+            assert (shared.x_prior.tobytes(), shared.p_prior.tobytes()) == prior
+
+
+#: Per-filter bytes of 1000 ``linear_model(dims=2)`` filters after one
+#: predict + update: ~995 B with one bundle per model, ~1365 B with one
+#: per filter (two transposed views and the bundle object).
+_FILTER_BYTES = 1150
+#: Per-copy bytes: ~1390 B sharing the bundle, ~2180 B duplicating it.
+_COPY_BYTES = 1750
+
+
+def _traced_bytes_per_item(make, count):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        items = [make(i) for i in range(count)]
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return items, used / count
+
+
+def test_filters_of_one_model_share_its_matrices():
+    model = linear_model(dims=2, dt=0.1)
+    z = np.array([1.0, 2.0])
+    model.build_filter(z)  # resolve the model's bundle before measuring
+
+    def build(i):
+        flt = model.build_filter(z + i)
+        flt.predict()
+        flt.update(z)
+        return flt
+
+    filters, per_filter = _traced_bytes_per_item(build, 1000)
+    assert per_filter < _FILTER_BYTES
+
+    clones, per_copy = _traced_bytes_per_item(lambda i: filters[i].copy(), 1000)
+    assert per_copy < _COPY_BYTES
+    for flt, clone in zip(filters[:10], clones):
+        assert _observe(clone) == _observe(flt)
+        flt.predict()
+        clone.predict()
+        clone.update(z + 1)
+        assert _observe(clone) != _observe(flt)
+        flt.update(z + 1)
+        assert _observe(clone) == _observe(flt)

@@ -256,6 +256,34 @@ def test_checkpoint_round_trip_is_interchangeable_with_the_scalar_server():
     assert not restored.is_primed("d")
 
 
+def test_suspect_starts_one_tick_after_the_deadline_on_every_read_path():
+    """At exactly ``suspect_after_ticks`` of silence a source is not yet
+    suspect; one tick later it is -- primed or not, on every view."""
+    reference, _, core = _fresh_pair(MODELS["linear-1d"])
+    priming = UpdateMessage("a", 0, 1, np.array([1.0]))
+    reference.receive(priming)
+    core.receive(priming)  # "a" primed, the rest silent since clock 0
+    rows = np.array([core.index[sid] for sid in SOURCES])
+    deadline = TRANSPORT.suspect_after_ticks
+    for clock, suspect in ((deadline, False), (deadline + 1, True)):
+        reference.advance_clock(clock)
+        core.advance_clock(clock)
+        for sid in SOURCES:
+            verdict = {
+                "staleness_ticks": clock, "suspect": suspect, "last_contact": 0,
+            }
+            assert reference.liveness(sid) == verdict
+            assert core.liveness(sid) == verdict
+            assert core.row_liveness(core.index[sid]) == (clock, suspect)
+        assert reference.answer_fields("a")[2:4] == (clock, suspect)
+        assert core.answer_fields("a") == reference.answer_fields("a")
+        primed, _, _, staleness, flags, _ = core.answer_columns(clock, rows)
+        assert primed.tolist() == [True, False, False, False]
+        assert staleness.tolist() == [clock] * len(SOURCES)
+        assert flags.tolist() == [suspect] * len(SOURCES)
+        assert core.suspect_count() == (len(SOURCES) if suspect else 0)
+
+
 def test_one_model_signature_per_bank_and_no_time_varying_models():
     core = ServerCore()
     core.add_rows(["a"], DKFConfig(model=constant_model(dims=1), delta=1.0))
