@@ -34,7 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, CorruptMessageError
+from repro.errors import (
+    ConfigurationError,
+    CorruptMessageError,
+    DuplicateSourceError,
+)
 
 __all__ = [
     "UpdateMessage",
@@ -309,44 +313,105 @@ def _source_hash(source_id: str) -> int:
     return zlib.crc32(source_id.encode("utf-8")) & 0xFFFFFFFF
 
 
-def index_source(index: dict[int, str], source_id: str) -> int:
-    """Insert one id into a header-hash index; returns its hash.
-
-    Raises:
-        ConfigurationError: When a different id already holds the same
-            32-bit hash (the header could not name either unambiguously).
-    """
-    key = _source_hash(source_id)
-    other = index.setdefault(key, source_id)
-    if other != source_id:
-        raise ConfigurationError(
-            f"source ids {other!r} and {source_id!r} collide on "
-            f"header hash {key:#x}"
-        )
-    return key
-
-
 def build_source_index(source_ids) -> dict[int, str]:
     """Precompute the header-hash -> source-id table for :func:`decode_message`.
 
     Resolving the header hash against a plain id list is a linear scan --
     fine for a handful of sources, fatal for a 100k-source wire server
     decoding thousands of frames per second.  Receivers that decode in a
-    loop should build this index once (or grow it with
-    :func:`index_source` as sources register) and pass it as
+    loop should build this index once (or keep a :class:`SourceHashIndex`,
+    which also resolves hashes to rows) and pass it as
     ``decode_message``'s ``source_ids`` argument for O(1) resolution.
 
     Raises:
         ConfigurationError: When two registered ids collide on the same
             32-bit hash (the header could not name either unambiguously).
+        DuplicateSourceError: When an id is given twice.
     """
-    index: dict[int, str] = {}
-    for source_id in source_ids:
-        index_source(index, source_id)
-    return index
+    index = SourceHashIndex(source_ids)
+    return dict(zip(index.hashes.tolist(), index.ids))
 
 
-__all__ += ["build_source_index", "index_source"]
+class SourceHashIndex:
+    """Header hash -> row, for a receiver that keeps its state by row.
+
+    Rows are registration order: ``ids`` and ``hashes`` (the 32-bit header
+    hash an ack carries back) are columns in that order, and a sorted copy
+    of the hashes with its row permutation resolves a whole column of
+    decoded hashes in one ``np.searchsorted``.  :meth:`get` is the
+    hash -> id view :func:`decode_message` takes.
+    """
+
+    def __init__(self, source_ids=()) -> None:
+        self.ids: list[str] = []
+        self.hashes = self._sorted = np.empty(0, np.uint32)
+        self._order = np.empty(0, np.int32)
+        self.add(source_ids)
+
+    def check(self, source_ids) -> np.ndarray:
+        """The ids' hashes, if :meth:`add` would take them; changes nothing.
+
+        Raises:
+            ConfigurationError: Two ids, given or indexed, share a hash.
+            DuplicateSourceError: An id is given twice or already indexed.
+        """
+        ids = list(source_ids)
+        hashes = np.fromiter(map(_source_hash, ids), np.uint32, len(ids))
+        order = np.argsort(hashes, kind="stable")
+        ranked, rows = hashes[order], self.rows(hashes)
+        pairs = [
+            (ids[order[i]], ids[order[i + 1]])
+            for i in np.flatnonzero(ranked[1:] == ranked[:-1])
+        ] + [(self.ids[rows[i]], ids[i]) for i in np.flatnonzero(rows >= 0)]
+        for first, second in pairs:
+            if first != second:
+                raise ConfigurationError(
+                    f"source ids {first!r} and {second!r} collide on "
+                    f"header hash {_source_hash(first):#x}"
+                )
+        if pairs:
+            raise DuplicateSourceError(
+                f"source(s) among {ids[:3]}... already registered"
+            )
+        return hashes
+
+    def add(self, source_ids, hashes: np.ndarray | None = None) -> None:
+        """Index ids as the next rows; ``hashes``: :meth:`check`'s return."""
+        source_ids = list(source_ids)
+        hashes = self.check(source_ids) if hashes is None else hashes
+        order = np.argsort(hashes, kind="stable")
+        at = np.searchsorted(self._sorted, hashes[order])
+        self._sorted = np.insert(self._sorted, at, hashes[order])
+        self._order = np.insert(self._order, at, order + len(self.ids))
+        self.hashes = np.concatenate((self.hashes, hashes))
+        self.ids.extend(source_ids)
+
+    def rows(self, hashes) -> np.ndarray:
+        """The row of each header hash, -1 where none is indexed."""
+        hashes = np.asarray(hashes, dtype=np.uint32)
+        if not self.ids:
+            return np.full(hashes.shape, -1, np.intp)
+        at = np.minimum(self._sorted.searchsorted(hashes), len(self.ids) - 1)
+        hit = self._sorted[at] == hashes
+        return np.where(hit, self._order[at], -1).astype(np.intp)
+
+    def _row(self, source_hash: int) -> int:
+        at = int(self._sorted.searchsorted(np.array(source_hash, np.uint32)))
+        found = at < len(self.ids) and self._sorted[at] == source_hash
+        return int(self._order[at]) if found else -1
+
+    def get(self, source_hash: int) -> str | None:
+        """The id whose header hash is ``source_hash``, None if none is."""
+        row = self._row(source_hash)
+        return self.ids[row] if row >= 0 else None
+
+    def row_of_id(self, source_id: str) -> int | None:
+        """The row of ``source_id``, None when it is not indexed."""
+        row = self._row(_source_hash(source_id))
+        return row if row >= 0 and self.ids[row] == source_id else None
+
+
+__all__ += ["build_source_index", "SourceHashIndex"]
 
 
 def _seal(frame: bytes) -> bytes:
@@ -441,7 +506,7 @@ def _encode(message: WireMessage) -> bytes:
 
 def decode_message(
     data: bytes,
-    source_ids: list[str] | dict[int, str],
+    source_ids: list[str] | dict[int, str] | SourceHashIndex,
     state_dim: int | None = None,
 ) -> WireMessage:
     """Deserialise a wire message, verifying its CRC-32 trailer first.
@@ -451,8 +516,9 @@ def decode_message(
         source_ids: Registered source ids; the header's hash is resolved
             against them (collision-free for realistic deployments; a
             genuine collision raises).  Either a plain id list (linear
-            scan, fine at test scale) or a prebuilt hash index from
-            :func:`build_source_index` (O(1), required at wire scale).
+            scan, fine at test scale) or a prebuilt hash index, from
+            :func:`build_source_index` or a :class:`SourceHashIndex`
+            (required at wire scale).
         state_dim: Required to decode resync messages (the covariance
             triangle's size depends on it).
 
@@ -474,7 +540,7 @@ def decode_message(
 
 def _decode(
     data: bytes,
-    source_ids: list[str] | dict[int, str],
+    source_ids: list[str] | dict[int, str] | SourceHashIndex,
     state_dim: int | None = None,
 ) -> WireMessage:
     if len(data) < 13 + CRC_BYTES:
@@ -488,7 +554,7 @@ def _decode(
         )
     tag, source_hash, seq, k = struct.unpack("!BIII", frame[:13])
 
-    if isinstance(source_ids, dict):
+    if hasattr(source_ids, "get"):  # a dict or a SourceHashIndex
         source_id = source_ids.get(source_hash)
         if source_id is None:
             raise ConfigurationError(

@@ -265,7 +265,7 @@ class DKFSource:
             source_id=self._source_id,
             seq=self._seq,
             k=k,
-            value=value.copy(),
+            value=value,
             digest=digest,
         )
         self._seq += 1
@@ -282,7 +282,10 @@ class DKFSource:
         operations the server will apply on receipt, keeping the pair in
         lock-step.
         """
-        raw = record.value
+        # One read-only copy of the caller's array, shared by the step,
+        # the message and the resync buffer wherever the values are equal.
+        raw = record.value.copy()
+        raw.flags.writeable = False
         self._samples_seen += 1
         self._k = record.k
 
@@ -303,8 +306,8 @@ class DKFSource:
                 self._tel.count("readings_rejected_total", self._source_id)
             return SourceStep(
                 k=record.k,
-                raw_value=raw.copy(),
-                value=raw.copy(),
+                raw_value=raw,
+                value=raw,
                 prediction=prediction,
                 error=None,
                 message=None,
@@ -312,7 +315,8 @@ class DKFSource:
             )
 
         value = self._smooth(raw)
-        self._last_value = value.copy()
+        value.flags.writeable = False
+        self._last_value = value
 
         if self._mirror is None:
             self._mirror = self._config.model.build_filter(
@@ -332,8 +336,8 @@ class DKFSource:
                 self._tel.count("updates_sent_total", self._source_id)
             return SourceStep(
                 k=record.k,
-                raw_value=raw.copy(),
-                value=value.copy(),
+                raw_value=raw,
+                value=value,
                 prediction=None,
                 error=None,
                 message=message,
@@ -362,8 +366,8 @@ class DKFSource:
             self._observe_decision(record.k, error, message, gated)
         return SourceStep(
             k=record.k,
-            raw_value=raw.copy(),
-            value=value.copy(),
+            raw_value=raw,
+            value=value,
             prediction=prediction,
             error=error,
             message=message,

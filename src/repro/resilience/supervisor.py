@@ -254,7 +254,7 @@ class BoundedInbox:
         return count
 
 
-@dataclass
+@dataclass(slots=True)
 class _ShedState:
     priority: int
     base_min_delta: float

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dkf.protocol import UpdateMessage, encode_message
+from repro.dkf.protocol import SourceHashIndex, UpdateMessage, encode_message
 from repro.dsms.faults import FaultSchedule, GilbertElliottLoss
 from repro.errors import ConfigurationError
 from repro.obs import Telemetry
@@ -179,7 +179,8 @@ class ChannelShaper:
         schedule: Optional :class:`FaultSchedule` whose partitions sever
             this channel; requires ``index_lookup``.
         index_lookup: ``source-hash -> source-id`` map for header peeks
-            (partition routing).
+            (partition routing): a dict or a
+            :class:`~repro.dkf.protocol.SourceHashIndex`.
     """
 
     def __init__(
@@ -188,7 +189,7 @@ class ChannelShaper:
         profile: ChaosProfile,
         seed: int,
         schedule: FaultSchedule | None = None,
-        index_lookup: dict[int, str] | None = None,
+        index_lookup: dict[int, str] | SourceHashIndex | None = None,
     ) -> None:
         self.name = name
         self._profile = profile
@@ -607,7 +608,7 @@ class ChaosCoordinator:
                 at=profile.partition_at,
                 heal_at=profile.partition_heal_at or None,
             )
-        index_lookup = dict(runtime.server._index)
+        index_lookup = runtime.server._index
         self.data_shaper = ChannelShaper(
             "data",
             profile,

@@ -20,10 +20,12 @@ Two fleets, two fidelities:
 Both fleets share one UDP socket for the whole fleet (a socket per
 source would mean 100k file descriptors) and receive acks through the
 same :class:`~repro.wire.datagram.BatchDatagramReceiver` the server
-uses.  Every random draw -- priming spread, walk steps, send decisions,
-the corrupt schedule -- derives from ``(seed, purpose, tick)`` seed
-sequences, never from call order, so the *offered* workload for a given
-config is reproducible (the ``repro chaos`` determinism contract).
+uses, resolving ack hashes to slots (rows of one
+:class:`~repro.dkf.protocol.SourceHashIndex`) in one call.  Every random
+draw -- priming spread, walk steps, send decisions, the corrupt schedule
+-- derives from ``(seed, purpose, tick)`` seed sequences, never from
+call order, so the *offered* workload for a given config is
+reproducible (the ``repro chaos`` determinism contract).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import socket
 import struct
 import time
 import zlib
-from itertools import compress
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.dkf.protocol import (
     AckMessage,
     HeartbeatMessage,
     ResyncMessage,
-    build_source_index,
+    SourceHashIndex,
     decode_ack_frames,
     decode_message,
     encode_message,
@@ -132,7 +133,7 @@ class _FleetSocket:
             self._sock.close()
             self._sock = None
 
-    def drain_acks(self, index: dict[int, str]):
+    def drain_acks(self, index: SourceHashIndex):
         """Decode and book the datagrams received since the last call.
 
         Ack frames are read as columns (:func:`~repro.dkf.protocol.
@@ -142,7 +143,8 @@ class _FleetSocket:
 
         Returns:
             The intact acks of registered sources, in arrival order, as
-            four lists: source id, seq, k and the resync-request flag.
+            four lists: the source's slot (its row in ``index``), seq, k
+            and the resync-request flag.
         """
         received, self._ack_buf = self._ack_buf, []
         counters = self.counters
@@ -160,16 +162,14 @@ class _FleetSocket:
             else:
                 counters.frames_decoded += 1
         records, intact = decode_ack_frames(frames)
-        ids = list(map(index.get, records["hash"].tolist()))
-        known = intact & np.fromiter(
-            (source_id is not None for source_id in ids), bool, len(ids)
-        )
+        slots = index.rows(records["hash"])
+        known = intact & (slots >= 0)
         counters.frames_corrupt += len(frames) - int(intact.sum())
         counters.frames_unknown += int((intact & ~known).sum())
         counters.frames_decoded += int(known.sum())
         acks = records[known]
         return (
-            list(compress(ids, known.tolist())),
+            slots[known].tolist(),
             acks["seq"].tolist(),
             acks["k"].tolist(),
             (acks["flags"] & 1).tolist(),
@@ -237,82 +237,22 @@ class _FleetSocket:
                 deadline = clock() + SLICE_BUDGET_S
 
 
-class LiteFleet:
-    """100k-source simulated fleet with vectorised protocol state.
-
-    Per-source transport state lives in flat numpy arrays; each tick the
-    fleet draws its decisions from a ``(seed, purpose, tick)`` generator
-    and materialises only the frames that actually transmit.  The
-    reliability model matches the real source's pending-ack buffer:
-
-    * ``pending`` tracks the oldest unacknowledged data sequence (-1
-      when the window is clean); a cumulative ack at or past ``next_seq``
-      clears it, a partial ack advances it.
-    * A pending sequence past its deadline -- or a server ack carrying
-      ``resync_requested`` -- triggers a :class:`ResyncMessage` snapshot
-      (``x = [value]``, unit covariance) with per-source exponential
-      backoff, exactly the heal path PROTOCOL.md §6 prescribes.
-    * A source silent for ``heartbeat_interval_ticks`` emits a
-      header-only heartbeat so liveness never reads suppression as death.
-
-    Args:
-        config: The wire runtime configuration (``state_dim`` must be 1;
-            the vectorised snapshot fabricates scalar state).
-    """
+class _SharedSocketFleet:
+    """What both fleets share: the ids, their hash index (a source's row
+    in it is its slot in every per-source column), the socket and acks."""
 
     def __init__(self, config: WireConfig) -> None:
-        if config.state_dim != 1:
-            raise ConfigurationError(
-                "LiteFleet fabricates scalar resync snapshots; "
-                f"state_dim must be 1, got {config.state_dim}"
-            )
         self._config = config
         self.source_ids = collision_free_ids(config.sources)
-        self._index = build_source_index(self.source_ids)
-        self._slot = {sid: i for i, sid in enumerate(self.source_ids)}
-        n = config.sources
-        # Header hash per slot: the index was filled in slot order.
-        self._hashes = np.fromiter(self._index, dtype=np.uint32, count=n)
-        setup = np.random.default_rng([config.seed, 1])
-        self.first_tick = setup.integers(
-            0, config.ramp_ticks, n, dtype=np.int64
-        )
-        self.value = setup.normal(0.0, 5.0, n)
-        self._value0 = self.value.copy()
-        self.next_seq = np.zeros(n, dtype=np.int64)
-        self.pending = np.full(n, -1, dtype=np.int64)
-        self.pending_deadline = np.zeros(n, dtype=np.int64)
-        self.pending_attempt = np.zeros(n, dtype=np.int64)
-        self.last_send = np.full(n, -1, dtype=np.int64)
-        self.needs_resync = np.zeros(n, dtype=bool)
-        self.acked_seq = np.full(n, -1, dtype=np.int64)
-        self.delta_scale = np.ones(n)
-        self._transport = TransportPolicy(
-            ack_timeout_ticks=config.ack_timeout_ticks,
-            heartbeat_interval_ticks=config.heartbeat_interval_ticks,
-            suspect_after_ticks=max(
-                60, 2 * config.heartbeat_interval_ticks
-            ),
-        )
+        self._index = SourceHashIndex(self.source_ids)
         self._net = _FleetSocket(config)
-        self.updates_sent = 0
-        self.resyncs_sent = 0
-        self.heartbeats_sent = 0
+        self.acked_seq = np.full(config.sources, -1, dtype=np.int64)
         self.acks_received = 0
-        self.resyncs_requested = 0
-
-    # Wiring ---------------------------------------------------------------
 
     @property
     def counters(self) -> WireCounters:
         """The fleet endpoint's traffic ledger."""
         return self._net.counters
-
-    def dkf_config(self) -> DKFConfig:
-        """The filter config the server installs for every fleet stream."""
-        return DKFConfig(
-            model=constant_model(dims=1), delta=self._config.delta
-        )
 
     def transport_policy(self) -> TransportPolicy:
         """The transport policy both ends agree on."""
@@ -344,6 +284,75 @@ class LiteFleet:
             for slot in np.flatnonzero(self.acked_seq >= 0)
         }
 
+    def settle(self, tick: int) -> None:
+        """Drain late acks without offering new traffic (run teardown)."""
+        self._drain_acks(tick)
+
+
+class LiteFleet(_SharedSocketFleet):
+    """100k-source simulated fleet with vectorised protocol state.
+
+    Per-source transport state lives in flat numpy arrays; each tick the
+    fleet draws its decisions from a ``(seed, purpose, tick)`` generator
+    and materialises only the frames that actually transmit.  The
+    reliability model matches the real source's pending-ack buffer:
+
+    * ``pending`` tracks the oldest unacknowledged data sequence (-1
+      when the window is clean); a cumulative ack at or past ``next_seq``
+      clears it, a partial ack advances it.
+    * A pending sequence past its deadline -- or a server ack carrying
+      ``resync_requested`` -- triggers a :class:`ResyncMessage` snapshot
+      (``x = [value]``, unit covariance) with per-source exponential
+      backoff, exactly the heal path PROTOCOL.md §6 prescribes.
+    * A source silent for ``heartbeat_interval_ticks`` emits a
+      header-only heartbeat so liveness never reads suppression as death.
+
+    Args:
+        config: The wire runtime configuration (``state_dim`` must be 1;
+            the vectorised snapshot fabricates scalar state).
+    """
+
+    def __init__(self, config: WireConfig) -> None:
+        if config.state_dim != 1:
+            raise ConfigurationError(
+                "LiteFleet fabricates scalar resync snapshots; "
+                f"state_dim must be 1, got {config.state_dim}"
+            )
+        super().__init__(config)
+        n = config.sources
+        setup = np.random.default_rng([config.seed, 1])
+        self.first_tick = setup.integers(
+            0, config.ramp_ticks, n, dtype=np.int64
+        )
+        self.value = setup.normal(0.0, 5.0, n)
+        self._value0 = self.value.copy()
+        self.next_seq = np.zeros(n, dtype=np.int64)
+        self.pending = np.full(n, -1, dtype=np.int64)
+        self.pending_deadline = np.zeros(n, dtype=np.int64)
+        self.pending_attempt = np.zeros(n, dtype=np.int64)
+        self.last_send = np.full(n, -1, dtype=np.int64)
+        self.needs_resync = np.zeros(n, dtype=bool)
+        self.delta_scale = np.ones(n)
+        self._transport = TransportPolicy(
+            ack_timeout_ticks=config.ack_timeout_ticks,
+            heartbeat_interval_ticks=config.heartbeat_interval_ticks,
+            suspect_after_ticks=max(
+                60, 2 * config.heartbeat_interval_ticks
+            ),
+        )
+        self.updates_sent = 0
+        self.resyncs_sent = 0
+        self.heartbeats_sent = 0
+        self.resyncs_requested = 0
+
+    # Wiring ---------------------------------------------------------------
+
+    def dkf_config(self) -> DKFConfig:
+        """The filter config the server installs for every fleet stream."""
+        return DKFConfig(
+            model=constant_model(dims=1), delta=self._config.delta
+        )
+
     def apply_scales(self, changes: dict[str, float]) -> None:
         """Backpressure actuator: δ-widening thins the update rate.
 
@@ -352,13 +361,9 @@ class LiteFleet:
         escape probability by the scale.
         """
         for source_id, scale in changes.items():
-            slot = self._slot.get(source_id)
+            slot = self._index.row_of_id(source_id)
             if slot is not None:
                 self.delta_scale[slot] = max(1.0, float(scale))
-
-    def settle(self, tick: int) -> None:
-        """Drain late acks without offering new traffic (run teardown)."""
-        self._drain_acks(tick)
 
     def workload_digest(self) -> int:
         """CRC-32 over the seeded workload arrays (pre-socket state).
@@ -379,13 +384,12 @@ class LiteFleet:
         in one drain see each other's effect).  ``ack.seq`` is
         cumulative: everything below it is settled.
         """
-        ids, seqs, _, flags = self._net.drain_acks(self._index)
-        slot_of = self._slot.__getitem__
+        slots, seqs, _, flags = self._net.drain_acks(self._index)
         next_seq, pending = self.next_seq, self.pending
         attempt, acked_seq = self.pending_attempt, self.acked_seq
         deadline = tick + self._transport.retry_timeout(0)
-        self.acks_received += len(ids)
-        for slot, acked, resync in zip(map(slot_of, ids), seqs, flags):
+        self.acks_received += len(slots)
+        for slot, acked, resync in zip(slots, seqs, flags):
             if resync:
                 self.needs_resync[slot] = True
                 self.resyncs_requested += 1
@@ -466,7 +470,7 @@ class LiteFleet:
         slots = np.flatnonzero(update_due)
         seqs = self.next_seq[slots]
         frames += encode_update_frames(
-            self._hashes[slots], seqs, tick, self.value[slots]
+            self._index.hashes[slots], seqs, tick, self.value[slots]
         )
         self.next_seq[slots] = seqs + 1
         fresh = self.pending[slots] == -1
@@ -508,7 +512,7 @@ class LiteFleet:
         }
 
 
-class StepperFleet:
+class StepperFleet(_SharedSocketFleet):
     """Demo-scale fleet of *real* DKF endpoints over the shared socket.
 
     Each stream is a full :class:`~repro.dkf.source.DKFSource` driven by
@@ -523,9 +527,7 @@ class StepperFleet:
     """
 
     def __init__(self, config: WireConfig) -> None:
-        self._config = config
-        self.source_ids = collision_free_ids(config.sources)
-        self._index = build_source_index(self.source_ids)
+        super().__init__(config)
         setup = np.random.default_rng([config.seed, 1])
         self.first_tick = setup.integers(
             0, config.ramp_ticks, config.sources, dtype=np.int64
@@ -542,15 +544,6 @@ class StepperFleet:
             )
             for source_id in self.source_ids
         ]
-        self._slot = {sid: i for i, sid in enumerate(self.source_ids)}
-        self._net = _FleetSocket(config)
-        self.acked_seq = np.full(config.sources, -1, dtype=np.int64)
-        self.acks_received = 0
-
-    @property
-    def counters(self) -> WireCounters:
-        """The fleet endpoint's traffic ledger."""
-        return self._net.counters
 
     def dkf_config(self) -> DKFConfig:
         """The filter config shared by every endpoint pair."""
@@ -559,51 +552,22 @@ class StepperFleet:
             delta=self._config.delta,
         )
 
-    def transport_policy(self) -> TransportPolicy:
-        """The transport policy both ends agree on."""
-        return self._transport
-
-    def open(self, loop, server_addr: tuple[str, int]) -> tuple[str, int]:
-        """Bind the shared fleet socket; returns its local address."""
-        return self._net.open(loop, server_addr)
-
-    def close(self) -> None:
-        """Close the shared socket and deregister the ack receiver."""
-        self._net.close()
-
-    def install_send_shaper(self, shaper) -> None:
-        """Route fleet transmissions through a chaos shaper."""
-        self._net.install_shaper(shaper)
-
-    def acked_high(self) -> dict[str, int]:
-        """Per-source highest cumulative ack received (see LiteFleet)."""
-        return {
-            self.source_ids[slot]: int(self.acked_seq[slot])
-            for slot in np.flatnonzero(self.acked_seq >= 0)
-        }
-
     def apply_scales(self, changes: dict[str, float]) -> None:
         """Backpressure actuator: real δ-widening on each endpoint."""
         for source_id, scale in changes.items():
-            slot = self._slot.get(source_id)
+            slot = self._index.row_of_id(source_id)
             if slot is not None:
                 self._steppers[slot].source.set_delta_scale(scale)
 
     def _drain_acks(self, tick: int) -> None:
-        for source_id, seq, k, resync in zip(
-            *self._net.drain_acks(self._index)
-        ):
-            slot = self._slot[source_id]
+        for slot, seq, k, resync in zip(*self._net.drain_acks(self._index)):
+            source_id = self.source_ids[slot]
             self.acks_received += 1
             if seq > self.acked_seq[slot]:
                 self.acked_seq[slot] = seq
             self._steppers[slot].on_ack(
                 AckMessage(source_id, seq, k, bool(resync)), tick
             )
-
-    def settle(self, tick: int) -> None:
-        """Drain late acks without offering new traffic (run teardown)."""
-        self._drain_acks(tick)
 
     async def step_tick(self, tick: int) -> int:
         """Offer one tick of real-endpoint traffic; returns datagrams."""

@@ -27,15 +27,18 @@ overload step and the inbox gauge.
 
 What a slice does with a batch (docs/WIRE.md §2).  Plain update frames
 (tag 0x01) of the bank's measurement dimension are fixed-size records;
-each maximal run of them is decoded in bulk, resolved hash -> row and
-handed to the core as arrays -- one batched filter correction per run.
+each maximal run of them is decoded in bulk, resolved hash -> row in one
+:class:`~repro.dkf.protocol.SourceHashIndex` call and handed to the core
+as arrays -- one batched filter correction per run.
 Every other frame goes one at a time through
 :meth:`WireServer._apply_datagram`: resyncs, heartbeats and digest
 updates, which are rare, and whatever a run turns up as corrupt,
 unknown or from the future, which the poison ledger books by reason.
 A run is applied before the frame that ends it, so each source's
 frames take effect in arrival order; the slice's acks are packed from
-the core's ``(row, seq, k, flag)`` columns and sent when it ends.
+the core's ``(row, seq, k, flag)`` columns and sent when it ends, each
+to its row's address slot.  The row is the only per-source identity
+here: ids are for registration and checkpoints.
 """
 
 from __future__ import annotations
@@ -51,10 +54,10 @@ import numpy as np
 from repro.dkf.config import DKFConfig, TransportPolicy
 from repro.dkf.protocol import (
     AckMessage,
+    SourceHashIndex,
     decode_message,
     decode_update_frames,
     encode_ack_frames,
-    index_source,
     update_frame_dtype,
 )
 from repro.errors import ConfigurationError, CorruptMessageError
@@ -132,12 +135,13 @@ class WireServer:
             ),
             telemetry=self._tel,
         )
-        # Header hash -> source id (what the codec resolves against), and
-        # per row the hash back (what an ack frame carries) and the
-        # address the source was last heard from.
-        self._index: dict[int, str] = {}
-        self._hashes: list[int] = []
-        self._addrs: dict[int, tuple] = {}
+        # Header hash <-> row (rows in the core's order), and per row the
+        # slot of the address the source was last heard from (-1: not
+        # since registration or restore) in a table of distinct addresses.
+        self._index = SourceHashIndex()
+        self._addr_of_row = np.empty(0, np.int32)
+        self._addr_slot: dict[tuple, int] = {}
+        self._addrs: list[tuple] = []
         self._update_frame = None
         self._state_dim = config.state_dim
         self._sock: socket.socket | None = None
@@ -268,9 +272,12 @@ class WireServer:
 
     def _install(self, source_ids, config, transport, priority) -> None:
         """Index, allocate and track ``source_ids``: linear in their count."""
-        hashes = [index_source(self._index, s) for s in source_ids]
+        hashes = self._index.check(source_ids)  # all or nothing
         self.dkf.add_rows(source_ids, config, transport)
-        self._hashes.extend(hashes)
+        self._index.add(source_ids, hashes)
+        self._addr_of_row = np.concatenate(
+            (self._addr_of_row, np.full(len(source_ids), -1, np.int32))
+        )
         if self._update_frame is None:  # one model per bank, so one layout
             self._update_frame = update_frame_dtype(
                 self.dkf.bank.measurement_dim
@@ -392,12 +399,7 @@ class WireServer:
         records, intact = decode_update_frames(
             [data for data, _ in run], self._update_frame
         )
-        id_of, row_of = self._index.get, self.dkf.index.get
-        rows = np.fromiter(
-            (row_of(id_of(key), -1) for key in records["hash"].tolist()),
-            dtype=np.intp,
-            count=len(run),
-        )
+        rows = self._index.rows(records["hash"])
         ks = records["k"].astype(np.int64)
         good = (
             intact
@@ -417,8 +419,30 @@ class WireServer:
         self._bank_calls += 1
         if self._tel.enabled:
             self._tel.count("wire_frames_decoded_total", amount=len(run))
-        self._addrs.update(zip(rows.tolist(), (addr for _, addr in run)))
+        self._heard(rows, [addr for _, addr in run])
         self.dkf.apply_updates(rows, seqs, ks, z)
+
+    def _heard(self, rows: np.ndarray, addrs: list[tuple]) -> None:
+        """Note each row's sending address; of two for one row, the later."""
+        slots = np.fromiter(map(self._slot, addrs), np.int32, len(addrs))
+        if len(rows) > 1:
+            last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
+            rows, slots = rows[last], slots[last]
+        self._addr_of_row[rows] = slots
+        if len(self._addrs) > 2 * len(self._addr_of_row):  # forget the dead
+            heard = self._addr_of_row >= 0
+            live, self._addr_of_row[heard] = np.unique(
+                self._addr_of_row[heard], return_inverse=True
+            )
+            self._addrs = [self._addrs[slot] for slot in live.tolist()]
+            self._addr_slot = {addr: i for i, addr in enumerate(self._addrs)}
+
+    def _slot(self, addr: tuple) -> int:
+        """The address table slot of ``addr``, taken when it is new."""
+        slot = self._addr_slot.setdefault(addr, len(self._addrs))
+        if slot == len(self._addrs):
+            self._addrs.append(addr)
+        return slot
 
     def _apply_datagram(self, data: bytes, addr: tuple) -> None:
         counters = self.counters
@@ -451,7 +475,7 @@ class WireServer:
         counters.frames_decoded += 1
         if self._tel.enabled:
             self._tel.count("wire_frames_decoded_total")
-        self._addrs[row] = addr
+        self._heard(np.array([row]), [addr])
         self.dkf.receive(message)
 
     def _receivable_row(self, message) -> int | None:
@@ -530,15 +554,15 @@ class WireServer:
         rows, seqs, ks, flags = self.dkf.take_acks()
         if not rows.size or self._sock is None:
             return
-        rows = rows.tolist()
-        hashes = self._hashes
+        slots = self._addr_of_row[rows]
+        heard = slots >= 0
         frames = encode_ack_frames(
-            [hashes[row] for row in rows],
-            seqs.tolist(), ks.tolist(), flags.tolist(),
+            self._index.hashes[rows[heard]].tolist(),
+            seqs[heard].tolist(), ks[heard].tolist(), flags[heard].tolist(),
         )
-        for addr, frame in zip(map(self._addrs.get, rows), frames):
-            if addr is not None:
-                self._send(frame, addr)
+        addrs = self._addrs
+        for slot, frame in zip(slots[heard].tolist(), frames):
+            self._send(frame, addrs[slot])
 
     # Checkpoint / restore -------------------------------------------------
 
@@ -578,9 +602,10 @@ class WireServer:
             dkf.import_row(row, state)
         dkf.advance_clock(int(snapshot["server_clock"]))
         self.dkf = dkf
-        self._index = {}
-        self._hashes = [index_source(self._index, s) for s in dkf.ids]
+        self._index = SourceHashIndex(dkf.ids)
         # A genuinely restarted process would not remember peer
         # addresses; drop them so acks only flow once a source has
         # re-contacted this incarnation (its next frame carries addr).
-        self._addrs.clear()
+        self._addr_of_row = np.full(len(dkf.ids), -1, np.int32)
+        self._addr_slot.clear()
+        self._addrs = []

@@ -178,3 +178,44 @@ class TestResyncAndReset:
         assert not source.primed
         assert source.samples_seen == 0
         assert source.sample(record(0, 1.0)).message is not None
+
+
+class TestReadingOwnership:
+    """The source keeps one read-only copy of each reading."""
+
+    @pytest.mark.parametrize("smoothing_f", [None, 0.5])
+    def test_mutating_the_record_array_afterwards_changes_nothing(
+        self, smoothing_f
+    ):
+        readings = [10.0, 10.5, 19.0, 19.2, float("nan"), 30.0]
+        kept, mutated = (
+            make_source(delta=1.0, smoothing_f=smoothing_f) for _ in range(2)
+        )
+        kept_steps, mutated_steps = [], []
+        for k, reading in enumerate(readings):
+            kept_steps.append(kept.sample(record(k, reading)))
+            buffer = np.array([reading])
+            mutated_steps.append(
+                mutated.sample(StreamRecord(k=k, timestamp=float(k), value=buffer))
+            )
+            buffer[:] = -1e6  # the caller reuses its array
+        for ours, theirs in zip(kept_steps, mutated_steps):
+            assert np.array_equal(ours.raw_value, theirs.raw_value, equal_nan=True)
+            assert np.array_equal(ours.value, theirs.value, equal_nan=True)
+            assert (ours.message is None) == (theirs.message is None)
+            if ours.message is not None:
+                assert np.array_equal(ours.message.value, theirs.message.value)
+        for source in (kept, mutated):
+            source.request_resync()
+        (ours,), (theirs,) = kept.poll_transport(9), mutated.poll_transport(9)
+        assert np.array_equal(ours.value, theirs.value)
+        assert np.array_equal(ours.x, theirs.x)
+
+    def test_an_unsmoothed_reading_is_one_shared_read_only_array(self):
+        source = make_source(delta=1.0)
+        buffer = np.array([4.0])
+        step = source.sample(StreamRecord(k=0, timestamp=0.0, value=buffer))
+        assert step.value is step.raw_value is step.message.value
+        assert step.value is not buffer and not step.value.flags.writeable
+        with pytest.raises(ValueError):
+            step.value[0] = 5.0

@@ -43,7 +43,7 @@ class _PerMessageLiteFleet(LiteFleet):
     """``LiteFleet`` with its per-message encode loop and ack drain."""
 
     def _on_ack(self, ack: AckMessage, tick: int) -> None:
-        slot = self._slot.get(ack.source_id)
+        slot = self._index.row_of_id(ack.source_id)
         if slot is None:
             return
         self.acks_received += 1
@@ -189,7 +189,7 @@ class _PerMessageStepperFleet(StepperFleet):
                 continue
             self._net.counters.frames_decoded += 1
             if isinstance(message, AckMessage):
-                slot = self._slot.get(message.source_id)
+                slot = self._index.row_of_id(message.source_id)
                 if slot is not None:
                     self.acks_received += 1
                     if message.seq > self.acked_seq[slot]:
@@ -233,7 +233,7 @@ def _acks_for(frames, fleet, rng, tally) -> list[bytes]:
         message = decode_message(frame, fleet._index, state_dim=1)
         if isinstance(message, HeartbeatMessage):
             continue
-        slot = fleet._slot[message.source_id]
+        slot = fleet._index.row_of_id(message.source_id)
         roll = rng.random()
         if roll < 0.2:
             continue  # lost: the deadline will resync it

@@ -331,8 +331,15 @@ def test_one_by_one_and_bulk_registration_build_equal_indexes():
     source_ids = collision_free_ids(20_000)
     single, _ = _registered(source_ids, bulk=False)
     bulk, _ = _registered(source_ids, bulk=True)
-    assert single._index == bulk._index == build_source_index(source_ids)
-    assert single._hashes == bulk._hashes
+    reference = build_source_index(source_ids)
+    registered = np.fromiter(reference, np.uint32, len(reference))
+    ghost = zlib.crc32(b"ghost")
+    assert ghost not in reference
+    for server in (single, bulk):
+        assert server._index.rows(registered).tolist() == list(
+            range(len(source_ids))
+        )
+        assert server._index.rows([ghost]).tolist() == [-1]
     assert single.dkf.index == bulk.dkf.index
     assert single.dkf.source_ids == bulk.dkf.source_ids == source_ids
     frame = _update(source_ids[-1], 0, 1.0, k=0)
