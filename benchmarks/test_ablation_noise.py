@@ -33,7 +33,7 @@ def _noise_sweep():
             CachedValueScheme.from_precision(DELTA, dims=2), stream
         )
         # Give the DKF a measurement-noise estimate matching the injected
-        # noise (what a deployment would calibrate; see filters.tuning).
+        # noise (what a deployment would calibrate).
         r = max(0.05, std**2)
         dkf = evaluate_scheme(
             DKFSession(

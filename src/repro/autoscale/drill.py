@@ -23,19 +23,21 @@ Run once with the autoscaler armed and once without (same seed, same
 
 Everything is deterministic for a given seed: streams, fault-free
 transport, tick-indexed control decisions.  ``repro chaos --surge``
-and ``benchmarks/test_bench_autoscale.py`` both run through
-:func:`run_surge_drill` so the CLI artifact and the committed benchmark
-measure the same trajectory.
+(:func:`surge_drill`) and ``benchmarks/test_bench_autoscale.py`` both
+run through :func:`run_surge_drill` so the CLI artifact and the
+committed benchmark measure the same trajectory.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
 from repro.autoscale.config import AutoscalePolicy
 from repro.dkf.config import TransportPolicy
+from repro.drill import Drill
 from repro.dsms.engine import StreamEngine
 from repro.dsms.query import ContinuousQuery
 from repro.filters.models import linear_model
@@ -44,7 +46,12 @@ from repro.obs.slo import SLORule
 from repro.resilience import OverloadPolicy, ResilienceConfig
 from repro.streams.base import stream_from_values
 
-__all__ = ["SurgeDrillResult", "run_surge_drill", "compare_surge_drill"]
+__all__ = [
+    "SurgeDrillResult",
+    "run_surge_drill",
+    "compare_surge_drill",
+    "surge_drill",
+]
 
 #: Gauge-level SLO on inbox fill: firing means the server is one burst
 #: away from tail-dropping updates.
@@ -306,3 +313,79 @@ def compare_surge_drill(
         "gates": gates,
         "passed": all(gates.values()),
     }
+
+
+def surge_drill(
+    out: str | Path,
+    *,
+    seed: int = 7,
+    ticks: int = 280,
+    surge_start: int = 80,
+    surge_len: int = 80,
+    load_factor: float = 3.0,
+    settle_window: int = 64,
+) -> Drill:
+    """The ``repro chaos --surge`` drill: :func:`compare_surge_drill`
+    with its three artifacts under ``out``.
+
+    * ``report.json`` -- both runs plus the gates;
+    * ``slo-report.json`` -- the armed run's SLO/alert state;
+    * ``autoscale-trace.json`` -- every control-interval decision the
+      planner made, with the forecast inputs that produced it.
+
+    All three are pure tick-indexed control flow, so two runs with the
+    same ``seed`` produce byte-identical files.
+    """
+    out = Path(out)
+    comparison = compare_surge_drill(
+        seed,
+        ticks=ticks,
+        surge_start=surge_start,
+        surge_len=surge_len,
+        load_factor=load_factor,
+        settle_window=settle_window,
+    )
+    enabled = comparison["enabled"]
+    disabled = comparison["disabled"]
+    gates = comparison["gates"]
+    lines = [
+        "=== surge drill (predictive vs reactive) ===",
+        f"offered rate        : calm {enabled['calm_rate']:.2f}/tick -> "
+        f"surge {enabled['surge_rate']:.2f}/tick "
+        f"(x{enabled['surge_rate'] / max(enabled['calm_rate'], 1e-9):.1f})",
+    ]
+    for label, run in (("predictive", enabled), ("reactive  ", disabled)):
+        lines.append(
+            f"{label}          : shed error {run['shed_error_total']:8.1f}, "
+            f"drops {run['inbox_dropped']:4d}, "
+            f"widen steps {run['ledger']['widen_steps']:3d}, "
+            f"settle {run['settle_ticks']} ticks"
+        )
+    saved = disabled["shed_error_total"] - enabled["shed_error_total"]
+    lines += [
+        f"prediction saved    : {saved:.1f} bounded error "
+        f"({saved / max(disabled['shed_error_total'], 1e-9):.0%} of the "
+        "reactive total)",
+        f"artifacts           : {out}/",
+    ]
+    return Drill(
+        report=comparison,
+        gates=gates,
+        lines=lines,
+        artifacts={
+            out / "report.json": comparison,
+            out / "slo-report.json": {
+                "seed": comparison["seed"],
+                "slo": enabled["slo"],
+                "gates": gates,
+                "surge": {
+                    "start": enabled["surge_start"],
+                    "end": enabled["surge_end"],
+                    "load_factor": comparison["load_factor"],
+                },
+            },
+            out / "autoscale-trace.json": (
+                (enabled["autoscale"] or {}).get("trace", [])
+            ),
+        },
+    )

@@ -67,6 +67,29 @@ _EXPERIMENTS = {
 }
 
 
+class _DrillFlag(argparse.Action):
+    """A flag only one drill mode reads; records that it was given, so
+    :func:`main` can refuse it under another mode."""
+
+    def __init__(self, *args, drill: str, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.drill = drill
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.drill_flags = getattr(namespace, "drill_flags", ()) + (
+            (self.option_strings[0], self.drill),
+        )
+
+
+def _drill_mode(args: argparse.Namespace) -> str:
+    if args.command == "chaos":
+        return "surge" if args.surge else (
+            "federation" if args.federation else "crash"
+        )
+    return "chaos" if args.chaos else "demo" if args.demo else "soak"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for testing and docs generation)."""
     parser = argparse.ArgumentParser(
@@ -193,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=7, help="scenario seed")
     chaos.add_argument(
         "--crash-at",
+        action=_DrillFlag,
+        drill="crash",
         type=int,
         default=225,
         help="tick the server dies (default mid-checkpoint-interval so "
@@ -200,18 +225,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--recover-after",
+        action=_DrillFlag,
+        drill="crash",
         type=int,
         default=10,
         help="downtime ticks before recovery runs",
     )
     chaos.add_argument(
         "--checkpoint-every",
+        action=_DrillFlag,
+        drill="crash",
         type=int,
         default=50,
         help="checkpoint cadence in ticks",
     )
     chaos.add_argument(
         "--max-recovery-ticks",
+        action=_DrillFlag,
+        drill="crash",
         type=int,
         default=50,
         help="recovery bound: every stream must be back within its δ of "
@@ -223,14 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="chaos-out",
         help="artifact directory (checkpoint + WAL + snapshot + report)",
     )
-    chaos.add_argument(
+    mode = chaos.add_mutually_exclusive_group()
+    mode.add_argument(
         "--batch",
         action="store_true",
         help="run the drill on the vectorized BatchStreamEngine (its "
         "synchronous transport has no server inbox, so overload "
         "shedding is skipped)",
     )
-    chaos.add_argument(
+    mode.add_argument(
         "--federation",
         action="store_true",
         help="run the federated drill instead: a peer cluster survives a "
@@ -239,11 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--peers",
+        action=_DrillFlag,
+        drill="federation",
         type=int,
         default=3,
         help="peer count for --federation (default 3)",
     )
-    chaos.add_argument(
+    mode.add_argument(
         "--surge",
         action="store_true",
         help="run the load-surge drill instead: offered load triples "
@@ -253,24 +287,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--surge-start",
+        action=_DrillFlag,
+        drill="surge",
         type=int,
         default=80,
         help="first tick of the surge (--surge only)",
     )
     chaos.add_argument(
         "--surge-len",
+        action=_DrillFlag,
+        drill="surge",
         type=int,
         default=80,
         help="surge duration in ticks (--surge only)",
     )
     chaos.add_argument(
         "--load-factor",
+        action=_DrillFlag,
+        drill="surge",
         type=float,
         default=3.0,
         help="offered-load multiplier during the surge (--surge only)",
     )
     chaos.add_argument(
         "--settle-window",
+        action=_DrillFlag,
+        drill="surge",
         type=int,
         default=64,
         help="ticks after the surge by which the shed ledger must "
@@ -316,19 +358,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the asyncio real-wire runtime: UDP update fabric, TCP "
         "query API, wall-clock ticks",
     )
-    wire.add_argument(
+    mode = wire.add_mutually_exclusive_group()
+    mode.add_argument(
         "--soak",
         action="store_true",
         help="soak-scale run with the vectorised lite fleet and the p99 "
         "query-latency gate armed",
     )
-    wire.add_argument(
+    mode.add_argument(
         "--demo",
         action="store_true",
         help="demo-scale run with real DKF endpoints (SourceStepper) "
         "instead of the lite fleet",
     )
-    wire.add_argument(
+    mode.add_argument(
         "--chaos",
         action="store_true",
         help="chaos-hardened run: seeded socket-level fault injection "
@@ -375,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a repro.obs bench snapshot (BENCH_wire.json) here",
     )
     wire.add_argument(
-        "--chaos-report", default=None,
+        "--chaos-report", default=None, action=_DrillFlag, drill="chaos",
         help="(--chaos only) write the deterministic chaos report here; "
         "byte-identical across same-seed runs",
     )
@@ -516,589 +559,39 @@ def _record_demo(args: argparse.Namespace) -> dict:
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
-    """Seeded kill-and-recover drill with a pass/fail recovery bound."""
-    import json
-    from pathlib import Path
+    """``repro chaos``: the crash, federation or surge drill."""
+    if args.surge:
+        from repro.autoscale.drill import surge_drill
 
-    import numpy as np
-
-    from repro.dkf.config import TransportPolicy
-    from repro.dsms.engine import StreamEngine
-    from repro.dsms.faults import FaultSchedule
-    from repro.dsms.query import ContinuousQuery
-    from repro.obs import Telemetry, write_snapshot
-    from repro.resilience import (
-        OverloadPolicy,
-        ResilienceConfig,
-        RestartPolicy,
-        WatchdogPolicy,
-    )
-    from repro.streams.base import stream_from_values
-
-    ticks = args.ticks
-    crash_at = args.crash_at
-    recover_at = crash_at + args.recover_after
-    if not 0 < crash_at < ticks or recover_at >= ticks:
-        raise ConfigurationError(
-            "need 0 < crash-at and crash-at + recover-after < ticks"
+        drill = surge_drill(
+            args.out,
+            seed=args.seed,
+            ticks=args.ticks,
+            surge_start=args.surge_start,
+            surge_len=args.surge_len,
+            load_factor=args.load_factor,
+            settle_window=args.settle_window,
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    elif args.federation:
+        from repro.federation.drill import federation_drill
 
-    rng = np.random.default_rng(args.seed)
-    truth = {
-        "hi": np.cumsum(rng.normal(0.4, 1.0, size=ticks)),
-        "mid": np.cumsum(rng.normal(-0.2, 1.2, size=ticks)),
-        "lo": np.cumsum(rng.normal(0.0, 0.8, size=ticks)),
-    }
-    deltas = {"hi": 1.0, "mid": 1.5, "lo": 2.0}
-    priorities = {"hi": 2, "mid": 1, "lo": 0}
-
-    telemetry = Telemetry()
-    telemetry.health.install_defaults()
-    telemetry.slo.install_defaults()
-    if args.batch:
-        from repro.scale.engine import BatchStreamEngine
-
-        # The batch transport applies deliveries synchronously -- there
-        # is no server inbox to shed from, so the drill runs without the
-        # overload policy.
-        engine = BatchStreamEngine(
-            telemetry=telemetry,
-            resilience=ResilienceConfig(
-                checkpoint_dir=str(out / "checkpoint"),
-                checkpoint_every=args.checkpoint_every,
-                watchdog=WatchdogPolicy(),
-                restart=RestartPolicy(),
-            ),
+        drill = federation_drill(
+            args.out, seed=args.seed, ticks=args.ticks, peers=args.peers
         )
     else:
-        engine = StreamEngine(
-            telemetry=telemetry,
-            resilience=ResilienceConfig(
-                checkpoint_dir=str(out / "checkpoint"),
-                checkpoint_every=args.checkpoint_every,
-                watchdog=WatchdogPolicy(),
-                restart=RestartPolicy(),
-                overload=OverloadPolicy(inbox_capacity=32, drain_per_tick=4,
-                                        cooldown_ticks=8),
-            ),
+        from repro.resilience.drill import crash_drill
+
+        drill = crash_drill(
+            args.out,
+            seed=args.seed,
+            ticks=args.ticks,
+            crash_at=args.crash_at,
+            recover_after=args.recover_after,
+            checkpoint_every=args.checkpoint_every,
+            max_recovery_ticks=args.max_recovery_ticks,
+            batch=args.batch,
         )
-    for source_id in ("hi", "mid", "lo"):
-        engine.add_source(
-            source_id,
-            linear_model(dims=1, dt=1.0),
-            stream_from_values(truth[source_id], name=source_id),
-            transport=TransportPolicy(ack_timeout_ticks=4),
-            priority=priorities[source_id],
-        )
-        engine.submit_query(
-            ContinuousQuery(
-                source_id,
-                delta=deltas[source_id],
-                query_id=f"q-{source_id}",
-            )
-        )
-    engine.inject_faults(
-        FaultSchedule(seed=args.seed)
-        .burst_loss("hi", p_enter=0.05, p_exit=0.3)
-        .sensor("mid", "nan", start=80, duration=12)
-        .sensor("lo", "spike", start=120, duration=6, magnitude=40.0)
-        .crash("lo", at=150, restart_at=160)
-    )
-
-    recovery_summary = None
-    recovered_within = None
-    for _ in range(ticks):
-        tick = engine.ticks
-        if tick == crash_at:
-            engine.crash_server()
-            print(f"[tick {tick}] server crashed")
-        if tick == recover_at:
-            recovery_summary = engine.recover()
-            print(
-                f"[tick {tick}] server recovered: "
-                f"{recovery_summary['restored_sources']} sources restored, "
-                f"{recovery_summary['wal_replayed']} WAL records replayed, "
-                f"{recovery_summary['resync_requests']} resyncs requested"
-            )
-        engine.step()
-        if recovery_summary is not None and recovered_within is None:
-            answers = {a.source_id: a for a in engine.answers()}
-            if len(answers) == len(truth) and all(
-                abs(a.value[0] - truth[sid][engine.ticks - 1])
-                <= a.precision + 1e-9
-                for sid, a in answers.items()
-            ):
-                recovered_within = engine.ticks - recover_at
-    engine.settle()
-
-    counters = {
-        c.name: c.value
-        for c in telemetry.metrics.counters()
-        if not c.labels
-    }
-    for c in telemetry.metrics.counters():
-        if c.labels:
-            counters[c.name] = counters.get(c.name, 0) + c.value
-    resilience = engine.resilience_report()
-    report = {
-        "seed": args.seed,
-        "ticks": engine.ticks,
-        "crash_at": crash_at,
-        "recover_at": recover_at,
-        "recovery": recovery_summary,
-        "recovered_within_ticks": recovered_within,
-        "max_recovery_ticks": args.max_recovery_ticks,
-        "watchdog_trips": counters.get("watchdog_trips_total", 0),
-        "checkpoint_writes": counters.get("checkpoint_writes_total", 0),
-        "wal_records": counters.get("wal_records_total", 0),
-        "resilience": resilience,
-        "traffic": engine.report().to_dict(),
-    }
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_snapshot(
-        str(out / "snapshot.json"),
-        engine.obs_snapshot({"name": "chaos", "seed": args.seed}),
-    )
-    (out / "slo-report.json").write_text(
-        json.dumps(
-            {
-                "slo": telemetry.slo.report(),
-                "health": telemetry.health.report(),
-                "faults": {"crash_at": crash_at, "recover_at": recover_at},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print("\n=== chaos recovery report ===")
-    print(f"checkpoints written : {report['checkpoint_writes']}")
-    print(f"WAL records logged  : {report['wal_records']}")
-    print(f"watchdog trips      : {report['watchdog_trips']}")
-    if recovery_summary is not None:
-        print(f"WAL records replayed: {recovery_summary['wal_replayed']}")
-        print(f"resyncs requested   : {recovery_summary['resync_requests']}")
-        print(
-            "dropped while down  : "
-            f"{recovery_summary['dropped_while_down']}"
-        )
-    shed = resilience.get("overload", {})
-    widened = {s: v for s, v in shed.items() if v["widened_ticks"]}
-    if widened:
-        for source_id, account in sorted(widened.items()):
-            print(
-                f"shed on {source_id:<12}: {account['widened_ticks']} ticks "
-                f"widened, {account['shed_error']:.2f} bounded extra error"
-            )
-    print(f"artifacts           : {out}/")
-    if recovered_within is None:
-        print(
-            f"FAIL: streams never re-converged within delta after recovery"
-        )
-        return 1
-    verdict = "ok" if recovered_within <= args.max_recovery_ticks else "FAIL"
-    print(
-        f"recovered within    : {recovered_within} ticks "
-        f"(bound {args.max_recovery_ticks}) -> {verdict}"
-    )
-    return 0 if verdict == "ok" else 1
-
-
-def _run_chaos_federation(args: argparse.Namespace) -> int:
-    """Federated chaos drill: peer kill + partition, zero stream loss.
-
-    One seeded scenario, two hard gates:
-
-    * **Crash**: the busiest peer dies mid-run.  Every stream it homed
-      must be re-homed (failover visible in telemetry) and every final
-      answer must sit within its advertised ``precision +
-      consensus_error`` of the stream's true final value.
-    * **Partition**: a later cut isolates one peer.  Both halves must
-      keep answering their streams, and a second identical run must
-      produce bit-identical final answers (deterministic reconcile).
-    """
-    import json
-    from pathlib import Path
-
-    import numpy as np
-
-    from repro.dsms.faults import FaultSchedule
-    from repro.dsms.query import ContinuousQuery
-    from repro.federation import FederatedCluster, FederationConfig
-    from repro.obs import Telemetry, build_snapshot, write_snapshot
-    from repro.streams.base import stream_from_values
-
-    ticks = args.ticks
-    if args.peers < 3:
-        raise ConfigurationError("the federated drill needs at least 3 peers")
-    crash_at = ticks // 4
-    restart_at = ticks // 2
-    cut_at = (ticks * 5) // 8
-    heal_at = (ticks * 7) // 8
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    n_streams = max(6, 2 * args.peers)
-    rng = np.random.default_rng(args.seed)
-    truth = {
-        f"s{i}": np.cumsum(rng.normal(0.0, 0.4, size=ticks))
-        for i in range(n_streams)
-    }
-
-    def build(telemetry=None, faults=True):
-        cluster = FederatedCluster(
-            FederationConfig(
-                peers=args.peers, replication=1, consensus_every=8
-            ),
-            telemetry=telemetry,
-        )
-        for sid, values in truth.items():
-            cluster.add_source(
-                sid, constant_model(q=0.2, r=1.0),
-                stream_from_values(values, name=sid),
-            )
-            cluster.submit_query(
-                ContinuousQuery(sid, delta=1.0, query_id=f"q-{sid}")
-            )
-        homes = {sid: cluster.home_of(sid) for sid in truth}
-        counts = {p: sum(1 for h in homes.values() if h == p)
-                  for p in cluster.peers}
-        victim = max(sorted(counts), key=lambda p: counts[p])
-        # Isolate a *surviving* peer for the partition leg, its homed
-        # sources on its side of the cut (split-brain, not starvation).
-        others = [p for p in sorted(cluster.peers) if p != victim]
-        island = others[0]
-        island_side = {island} | {
-            s for s, h in homes.items() if h == island
-        }
-        far_side = (set(cluster.peers) | set(truth)) - island_side
-        if faults:
-            cluster.inject_faults(
-                FaultSchedule(seed=args.seed)
-                .crash(victim, at=crash_at, restart_at=restart_at)
-                .partition(island_side, far_side, at=cut_at, heal_at=heal_at)
-            )
-        return cluster, victim, island
-
-    def drill(telemetry=None, faults=True):
-        cluster, victim, island = build(telemetry, faults)
-        mid_partition = None
-        for _ in range(ticks):
-            cluster.step()
-            # Serve every query once per tick: answers feed the
-            # staleness and consensus-error health series (a pure read
-            # when telemetry is disabled, so bit-identity holds).
-            cluster.answers()
-            if cluster.ticks == (cut_at + heal_at) // 2:
-                mid_partition = {
-                    "island": sorted(
-                        a.source_id for a in cluster.answers(island)
-                    ),
-                    # The mainland answers as a *side*: any alive peer
-                    # over there may hold the serving bank (the restarted
-                    # victim's healed replicas included).
-                    "mainland": sorted(
-                        {
-                            a.source_id
-                            for p, node in cluster.peers.items()
-                            if p != island and node.alive
-                            for a in cluster.answers(p)
-                        }
-                    ),
-                }
-        cluster.run()
-        cluster.settle()
-        finals = sorted(
-            (a.source_id, a.value, a.precision, a.consensus_error)
-            for a in cluster.answers()
-        )
-        return cluster, victim, island, mid_partition, finals
-
-    telemetry = Telemetry()
-    telemetry.health.install_defaults(federation=True)
-    telemetry.slo.install_defaults(federation=True)
-    cluster, victim, island, mid_partition, finals = drill(telemetry)
-    report = cluster.report()
-    orphans = sorted(s for s in truth if cluster.home_epoch(s) > 0)
-    failures: list[str] = []
-
-    answered = {row[0] for row in finals}
-    missing = sorted(set(truth) - answered)
-    if missing:
-        failures.append(f"streams lost (no final answer): {missing}")
-    if report.failovers == 0:
-        failures.append("peer kill produced no failovers")
-    for sid, value, precision, consensus_error in finals:
-        err = abs(value[0] - truth[sid][-1])
-        bound = precision + consensus_error + 1e-9
-        if err > bound:
-            failures.append(
-                f"{sid}: final error {err:.4f} exceeds advertised "
-                f"bound {bound:.4f}"
-            )
-    if mid_partition is None:
-        failures.append("drill never sampled the partition window")
-    else:
-        island_homes = {
-            s for s in truth if cluster.home_of(s) == island
-        }
-        if not island_homes <= set(mid_partition["island"]):
-            failures.append(
-                "isolated half stopped answering its own streams: "
-                f"{sorted(island_homes - set(mid_partition['island']))}"
-            )
-        if set(mid_partition["mainland"]) != set(truth):
-            failures.append(
-                "mainland half lost streams mid-partition: "
-                f"{sorted(set(truth) - set(mid_partition['mainland']))}"
-            )
-    counters: dict[str, int] = {}
-    for c in telemetry.metrics.counters():
-        counters[c.name] = counters.get(c.name, 0) + c.value
-    if not counters.get("fed_failovers_total"):
-        failures.append("failovers invisible in telemetry counters")
-
-    # SLO lifecycle gates: the partition must push at least one alert
-    # through pending -> firing inside the fault window, and the heal
-    # must resolve it before the run ends.
-    slo_alerts = telemetry.slo.alerts
-    fired_in_partition = sorted(
-        name
-        for name, alert in slo_alerts.items()
-        if alert.fired_between(cut_at, heal_at)
-    )
-    if not fired_in_partition:
-        failures.append(
-            "no SLO alert fired during the partition window "
-            f"[{cut_at}, {heal_at}]"
-        )
-    resolved_after_heal = sorted(
-        name
-        for name in fired_in_partition
-        if slo_alerts[name].resolved_after(heal_at)
-    )
-    if fired_in_partition and not resolved_after_heal:
-        failures.append(
-            "no partition-window alert resolved after the heal at "
-            f"{heal_at}"
-        )
-    # Health gate: a Kalman watcher must flag an injected fault within
-    # 50 ticks of its onset.
-    anomaly_ticks = sorted(
-        e.tick for e in telemetry.bus.events("health.anomaly")
-    )
-    detection_window = 50
-    flagged_fast = any(
-        start <= t <= start + detection_window
-        for start in (crash_at, cut_at)
-        for t in anomaly_ticks
-    )
-    if not flagged_fast:
-        failures.append(
-            "no health watcher flagged the crash or the partition within "
-            f"{detection_window} ticks (anomalies at {anomaly_ticks})"
-        )
-
-    _, _, _, _, finals_again = drill()
-    if finals != finals_again:
-        failures.append("re-run after heal was not bit-identical")
-
-    # Clean-run gate: the same cluster without injected faults must stay
-    # silent -- zero anomaly events, zero alerts fired.
-    clean_tel = Telemetry()
-    clean_tel.health.install_defaults(federation=True)
-    clean_tel.slo.install_defaults(federation=True)
-    drill(clean_tel, faults=False)
-    clean_anomalies = clean_tel.health.total_anomalies
-    clean_fired = sorted(
-        name
-        for name, alert in clean_tel.slo.alerts.items()
-        if alert.fired_between(0, ticks)
-    )
-    if clean_anomalies:
-        failures.append(
-            f"clean run produced {clean_anomalies} health anomalies "
-            "(watchers must stay silent without faults)"
-        )
-    if clean_fired:
-        failures.append(f"clean run fired SLO alerts: {clean_fired}")
-
-    drill_report = {
-        "seed": args.seed,
-        "ticks": cluster.ticks,
-        "peers": args.peers,
-        "victim": victim,
-        "island": island,
-        "crash_at": crash_at,
-        "restart_at": restart_at,
-        "cut_at": cut_at,
-        "heal_at": heal_at,
-        "streams": sorted(truth),
-        "re_homed": orphans,
-        "mid_partition": mid_partition,
-        "failures": failures,
-        "federation": report.to_dict(),
-    }
-    (out / "federation-report.json").write_text(
-        json.dumps(drill_report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    write_snapshot(
-        str(out / "federation-snapshot.json"),
-        build_snapshot(
-            telemetry,
-            meta={"name": "chaos-federation", "seed": args.seed,
-                  "peers": args.peers},
-        ),
-    )
-    slo_report = {
-        "windows": {
-            "crash_at": crash_at,
-            "restart_at": restart_at,
-            "cut_at": cut_at,
-            "heal_at": heal_at,
-            "detection_window": detection_window,
-        },
-        "slo": telemetry.slo.report(),
-        "health": telemetry.health.report(),
-        "anomaly_ticks": anomaly_ticks,
-        "fired_during_partition": fired_in_partition,
-        "resolved_after_heal": resolved_after_heal,
-        "clean_run": {
-            "anomalies": clean_anomalies,
-            "alerts_fired": clean_fired,
-        },
-    }
-    (out / "slo-report.json").write_text(
-        json.dumps(slo_report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-    print("\n=== federated chaos report ===")
-    print(f"peers               : {args.peers} (killed {victim}, "
-          f"isolated {island})")
-    print(f"failovers           : {report.failovers} "
-          f"(re-homed: {', '.join(orphans) or 'none'})")
-    print(f"re-home latencies   : {list(report.rehome_latency_ticks)}")
-    print(f"consensus rounds    : {report.consensus_rounds}")
-    print(f"split-brain ticks   : {report.split_brain_ticks}")
-    print(f"dropped at dead peer: {report.dropped_at_dead_peer}")
-    print(f"alerts fired in cut : {', '.join(fired_in_partition) or 'none'}")
-    print(
-        f"resolved after heal : {', '.join(resolved_after_heal) or 'none'}"
-    )
-    print(f"anomaly ticks       : {anomaly_ticks or 'none'}")
-    print(
-        f"clean run           : {clean_anomalies} anomalies, "
-        f"{len(clean_fired)} alerts fired"
-    )
-    print(f"artifacts           : {out}/")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(f"ok: {len(truth)} streams survived the kill and the partition")
-    return 0
-
-
-def _run_chaos_surge(args: argparse.Namespace) -> int:
-    """Load-surge drill: predictive vs reactive δ-shedding, gated.
-
-    Runs :func:`repro.autoscale.drill.compare_surge_drill` -- the same
-    seeded scenario twice, once with the predictive autoscaler armed and
-    once with reactive overload control only -- and writes three
-    artifacts into ``--out``:
-
-    * ``report.json`` -- both runs plus the acceptance gates;
-    * ``slo-report.json`` -- the enabled run's SLO/alert state (pure
-      tick-indexed control flow, so two runs with the same ``--seed``
-      produce byte-identical files);
-    * ``autoscale-trace.json`` -- every control-interval decision the
-      planner made, with the forecast inputs that produced it.
-
-    Exit 1 when any gate fails.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.autoscale.drill import compare_surge_drill
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    comparison = compare_surge_drill(
-        args.seed,
-        ticks=args.ticks,
-        surge_start=args.surge_start,
-        surge_len=args.surge_len,
-        load_factor=args.load_factor,
-        settle_window=args.settle_window,
-    )
-    enabled = comparison["enabled"]
-    disabled = comparison["disabled"]
-    gates = comparison["gates"]
-
-    (out / "report.json").write_text(
-        json.dumps(comparison, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    (out / "slo-report.json").write_text(
-        json.dumps(
-            {
-                "seed": comparison["seed"],
-                "slo": enabled["slo"],
-                "gates": gates,
-                "surge": {
-                    "start": enabled["surge_start"],
-                    "end": enabled["surge_end"],
-                    "load_factor": comparison["load_factor"],
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    (out / "autoscale-trace.json").write_text(
-        json.dumps(
-            (enabled["autoscale"] or {}).get("trace", []),
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    print("=== surge drill (predictive vs reactive) ===")
-    print(
-        f"offered rate        : calm {enabled['calm_rate']:.2f}/tick -> "
-        f"surge {enabled['surge_rate']:.2f}/tick "
-        f"(x{enabled['surge_rate'] / max(enabled['calm_rate'], 1e-9):.1f})"
-    )
-    for label, run in (("predictive", enabled), ("reactive  ", disabled)):
-        ledger = run["ledger"]
-        print(
-            f"{label}          : shed error {run['shed_error_total']:8.1f}, "
-            f"drops {run['inbox_dropped']:4d}, "
-            f"widen steps {ledger['widen_steps']:3d}, "
-            f"settle {run['settle_ticks']} ticks"
-        )
-    saved = disabled["shed_error_total"] - enabled["shed_error_total"]
-    print(
-        f"prediction saved    : {saved:.1f} bounded error "
-        f"({saved / max(disabled['shed_error_total'], 1e-9):.0%} of the "
-        "reactive total)"
-    )
-    print(f"artifacts           : {out}/")
-    for gate, passed in sorted(gates.items()):
-        print(f"gate {gate:<20}: {'ok' if passed else 'FAIL'}")
-    return 0 if comparison["passed"] else 1
+    return drill.finish()
 
 
 def _run_scale(args: argparse.Namespace) -> int:
@@ -1319,9 +812,11 @@ def _run_slo(args: argparse.Namespace) -> int:
 
 
 def _run_wire(args: argparse.Namespace) -> int:
-    from repro.wire import WireConfig, run_chaos, run_soak
+    from repro.wire import WireConfig
+    from repro.wire.chaos import chaos_drill
+    from repro.wire.soak import soak_drill
 
-    demo = args.demo and not args.soak and not args.chaos
+    demo = args.demo
     chaos = args.chaos
     sources = args.sources if args.sources is not None else (
         256 if chaos else 64 if demo else 5000
@@ -1350,115 +845,20 @@ def _run_wire(args: argparse.Namespace) -> int:
         ),
     )
     if chaos:
-        return _run_wire_chaos(args, config, run_chaos)
-    summary = run_soak(
-        config,
-        fleet_kind="stepper" if demo else "lite",
-        out=args.out,
-        bench_out=args.bench_out,
-    )
-    measured = summary["measured"]
-    wire = summary["wire"]
-    gates = summary["gates"]
-    print(
-        f"wire {'demo' if demo else 'soak'}: {sources} sources, "
-        f"{measured['ticks']} ticks x {tick_seconds:g}s "
-        f"({measured['wall_seconds']:.1f}s wall, "
-        f"{measured['overruns']} overruns)"
-    )
-    print(
-        f"  fleet -> server: {wire['fleet']['datagrams_sent']} datagrams "
-        f"({wire['server']['frames_decoded']} decoded, "
-        f"{wire['server']['frames_corrupt']} corrupt, "
-        f"{wire['server']['inbox_dropped']} inbox-dropped, "
-        f"{wire['conservation']['kernel_dropped_data']} kernel-dropped)"
-    )
-    print(
-        f"  primed {measured['primed']}/{sources}, "
-        f"suspects {measured['suspects']}, "
-        f"acks {wire['server']['datagrams_sent']}"
-    )
-    p50 = measured["query_p50_ms"]
-    p99 = measured["query_p99_ms"]
-    print(
-        f"  queries: {measured['queries']} at "
-        f"{measured['query_qps']:g}/s, "
-        f"p50 {p50 if p50 is not None else '-'} ms, "
-        f"p99 {p99 if p99 is not None else '-'} ms "
-        f"(gate {config.query_p99_gate_ms:g} ms)"
-    )
-    for name in ("query_p99_ok", "conservation_ok", "primed_ok"):
-        print(f"  gate {name}: {'pass' if gates[name] else 'FAIL'}")
-    if args.out:
-        print(f"summary written to {args.out}")
-    if args.bench_out:
-        print(f"bench snapshot written to {args.bench_out}")
-    return 0 if gates["ok"] else 1
-
-
-def _run_wire_chaos(
-    args: argparse.Namespace, config, run_chaos
-) -> int:
-    """The ``repro wire --chaos`` branch: seeded hostility, hard gates."""
-    summary = run_chaos(
-        config,
-        out=args.out,
-        report_out=args.chaos_report,
-        bench_out=args.bench_out,
-    )
-    measured = summary["measured"]
-    wire = summary["wire"]
-    chaos = summary["chaos"]
-    gates = summary["gates"]
-    print(
-        f"wire chaos: {config.sources} sources, "
-        f"{measured['ticks']} ticks x {config.tick_seconds:g}s "
-        f"({measured['wall_seconds']:.1f}s wall, seed {config.seed})"
-    )
-    data = chaos["data_shaper"]
-    print(
-        f"  data shaper: {data.get('offered', 0)} offered, "
-        f"{data.get('dropped', 0)} dropped, "
-        f"{data.get('partition_dropped', 0)} partitioned, "
-        f"{data.get('corrupted', 0)} corrupted, "
-        f"{data.get('duplicated', 0)} duplicated, "
-        f"{data.get('reordered', 0)} reordered, "
-        f"{data.get('delayed', 0)} delayed"
-    )
-    rejections = wire["rejections"]
-    rejected = ", ".join(
-        f"{reason}={count}" for reason, count in rejections.items()
-    )
-    print(
-        f"  fuzz: {chaos['fuzz_datagrams']} datagrams + "
-        f"{chaos['fuzz_lines']} lines; poison ledger: "
-        f"{rejected if rejected else 'empty'}"
-    )
-    drill = chaos["drill"]
-    if drill:
-        print(
-            f"  drill: drained at tick {drill.get('drain_tick')}, "
-            f"restarted, bit_identical={drill.get('bit_identical')}, "
-            f"acked_updates_lost={drill.get('acked_updates_lost')}"
+        drill = chaos_drill(
+            config,
+            out=args.out,
+            report_out=args.chaos_report,
+            bench_out=args.bench_out,
         )
-    p99 = measured["query_p99_ms"]
-    print(
-        f"  primed {measured['primed']}/{config.sources}, "
-        f"queries {measured['queries']}, "
-        f"p99 {p99 if p99 is not None else '-'} ms "
-        f"(gate {config.query_p99_gate_ms:g} ms)"
-    )
-    for name in sorted(gates):
-        if name == "ok":
-            continue
-        print(f"  gate {name}: {'pass' if gates[name] else 'FAIL'}")
-    if args.out:
-        print(f"summary written to {args.out}")
-    if args.chaos_report:
-        print(f"chaos report written to {args.chaos_report}")
-    if args.bench_out:
-        print(f"bench snapshot written to {args.bench_out}")
-    return 0 if gates["ok"] else 1
+    else:
+        drill = soak_drill(
+            config,
+            fleet_kind="stepper" if demo else "lite",
+            out=args.out,
+            bench_out=args.bench_out,
+        )
+    return drill.finish()
 
 
 #: Bench gauges gated by ``repro benchdiff``; regression direction per name.
@@ -1548,7 +948,14 @@ def _run_benchdiff(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, drill in getattr(args, "drill_flags", ()):
+        if drill != _drill_mode(args):
+            parser.error(
+                f"{flag} belongs to the {drill} drill, not the "
+                f"{_drill_mode(args)} drill"
+            )
     if args.command in _EXPERIMENTS:
         _EXPERIMENTS[args.command]()
         return 0
@@ -1560,10 +967,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "benchdiff":
             return _run_benchdiff(args)
         if args.command == "chaos":
-            if args.surge:
-                return _run_chaos_surge(args)
-            if args.federation:
-                return _run_chaos_federation(args)
             return _run_chaos(args)
         if args.command == "scale":
             return _run_scale(args)

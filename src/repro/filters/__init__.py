@@ -38,7 +38,6 @@ from repro.filters.riccati import (
 )
 from repro.filters.rts import OfflineKalmanSmoother, SmoothedTrajectory, rts_smooth
 from repro.filters.smoothing import StreamSmoother, VectorSmoother, smooth_series
-from repro.filters.tuning import TuningResult, innovation_diagnosis, tune_noise
 from repro.filters.ukf import UnscentedKalmanFilter
 
 __all__ = [
@@ -63,9 +62,6 @@ __all__ = [
     "SteadyStateKalmanFilter",
     "UnscentedKalmanFilter",
     "StreamSmoother",
-    "TuningResult",
-    "innovation_diagnosis",
-    "tune_noise",
     "acceleration_model",
     "batch_least_squares",
     "check_covariance",

@@ -54,13 +54,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.dkf.protocol import SourceHashIndex, UpdateMessage, encode_message
+from repro.drill import Drill, bench_snapshot
 from repro.dsms.faults import FaultSchedule, GilbertElliottLoss
 from repro.errors import ConfigurationError
-from repro.obs import Telemetry
 from repro.wire.config import WireConfig
 from repro.wire.datagram import MAX_DATAGRAM_BYTES, corrupt_datagram
 from repro.wire.runtime import AsyncRuntime
-from repro.wire.soak import _build_fleet, _conservation
+from repro.wire.soak import (
+    _build_fleet,
+    _conservation,
+    _wire_telemetry,
+    _workload,
+)
 
 __all__ = [
     "CHAOS_SCHEMA",
@@ -68,6 +73,7 @@ __all__ = [
     "ChannelShaper",
     "FuzzBarrage",
     "ChaosCoordinator",
+    "chaos_drill",
     "run_chaos",
 ]
 
@@ -824,25 +830,28 @@ def _chaos_gates(
         "rebind_done": (
             profile.rebind_tick == 0 or coordinator.rebinds > 0
         ),
+        "drained_once": profile.drain_tick == 0 or runtime.drains == 1,
+        "restarted_once": profile.drain_tick == 0 or runtime.restarts == 1,
     }
     gates["ok"] = all(bool(v) for v in gates.values())
     return gates
 
 
-def run_chaos(
+def chaos_drill(
     config: WireConfig,
     profile: ChaosProfile | None = None,
     fleet_kind: str = "lite",
     out: str | Path | None = None,
     report_out: str | Path | None = None,
     bench_out: str | Path | None = None,
-) -> dict:
-    """Run one chaos soak; returns the measured summary (gates included).
+) -> Drill:
+    """Run one chaos soak: its summary, gates, summary lines and
+    artifacts.
 
-    Writes up to three artifacts: ``out`` (the measured summary, like
-    the soak's), ``report_out`` (``chaos-report.json`` -- deterministic
+    Up to three artifacts: ``out`` (the measured summary, like the
+    soak's), ``report_out`` (``chaos-report.json`` -- deterministic
     content only, byte-identical per seed) and ``bench_out`` (a
-    ``repro.obs`` snapshot with the chaos bench gauges).
+    ``repro.obs`` snapshot with the degraded-mode bench gauges).
     """
     if profile is None:
         profile = ChaosProfile.reference(config.ticks)
@@ -850,12 +859,7 @@ def run_chaos(
         raise ConfigurationError(
             "drain_tick must leave ticks for the restart and re-prime"
         )
-    telemetry = Telemetry(time_unit="ms")
-    heartbeat_ms = config.heartbeat_interval_ticks * config.tick_ms
-    telemetry.slo.install_wire_defaults(
-        staleness_objective_ms=max(2500.0, 1.5 * heartbeat_ms),
-        query_p99_objective_ms=config.query_p99_gate_ms,
-    )
+    telemetry = _wire_telemetry(config)
     telemetry.health.install_wire_defaults()
     coordinator = ChaosCoordinator(profile, config, telemetry)
     runtime = AsyncRuntime(
@@ -878,21 +882,19 @@ def run_chaos(
         config, runtime, coordinator, conservation, p99
     )
 
-    workload: dict[str, object] = dict(config.workload_fields())
-    digest = getattr(runtime.fleet, "workload_digest", None)
-    if digest is not None:
-        workload["digest"] = digest()
-
+    workload = _workload(config, runtime)
+    chaos = coordinator.summary()
+    rejections = runtime.server.poison.as_dict()
     summary = {
         "schema": CHAOS_SCHEMA,
         "workload": workload,
         "profile": profile.as_dict(),
-        "chaos": coordinator.summary(),
+        "chaos": chaos,
         "wire": {
             "server": runtime.server.counters.as_dict(),
             "fleet": runtime.fleet.counters.as_dict(),
             "conservation": conservation,
-            "rejections": runtime.server.poison.as_dict(),
+            "rejections": rejections,
         },
         "fleet": runtime.fleet.summary(),
         "measured": {
@@ -912,81 +914,113 @@ def run_chaos(
         "gates": gates,
     }
 
-    # The replayable report: nothing measured, nothing wall-clock.  Two
-    # same-seed runs must produce byte-identical files (CI cmp-gates
-    # this); gate booleans are included because a green run is green
-    # deterministically.
-    chaos_report = {
-        "schema": CHAOS_SCHEMA,
-        "seed": config.seed,
-        "workload": workload,
-        "profile": profile.as_dict(),
-        "schedule": {
-            "partition_subset_digest": zlib.crc32(
-                ",".join(coordinator.partitioned).encode()
-            ),
-            "partitioned_sources": len(coordinator.partitioned),
-            "data_decisions_digest": (
-                coordinator.data_shaper.schedule_digest()
-                if coordinator.data_shaper is not None
-                else 0
-            ),
-            "ack_decisions_digest": (
-                coordinator.ack_shaper.schedule_digest()
-                if coordinator.ack_shaper is not None
-                else 0
-            ),
-            "fuzz_plan_digest": (
-                coordinator.fuzz.plan_digest(config.ticks)
-                if coordinator.fuzz is not None
-                else 0
-            ),
-        },
-        "gates": gates,
-    }
-
+    data = chaos["data_shaper"]
+    rejected = ", ".join(
+        f"{reason}={count}" for reason, count in rejections.items()
+    )
+    lines = [
+        f"wire chaos: {config.sources} sources, "
+        f"{report['ticks']} ticks x {config.tick_seconds:g}s "
+        f"({report['wall_seconds']:.1f}s wall, seed {config.seed})",
+        f"  data shaper: {data.get('offered', 0)} offered, "
+        f"{data.get('dropped', 0)} dropped, "
+        f"{data.get('partition_dropped', 0)} partitioned, "
+        f"{data.get('corrupted', 0)} corrupted, "
+        f"{data.get('duplicated', 0)} duplicated, "
+        f"{data.get('reordered', 0)} reordered, "
+        f"{data.get('delayed', 0)} delayed",
+        f"  fuzz: {chaos['fuzz_datagrams']} datagrams + "
+        f"{chaos['fuzz_lines']} lines; poison ledger: "
+        f"{rejected if rejected else 'empty'}",
+    ]
+    drain = chaos["drill"]
+    if drain:
+        lines.append(
+            f"  drill: drained at tick {drain.get('drain_tick')}, "
+            f"restarted, bit_identical={drain.get('bit_identical')}, "
+            f"acked_updates_lost={drain.get('acked_updates_lost')}"
+        )
+    lines.append(
+        f"  primed {runtime.primed}/{config.sources}, "
+        f"queries {report['queries']}, "
+        f"p99 {p99 if p99 is not None else '-'} ms "
+        f"(gate {config.query_p99_gate_ms:g} ms)"
+    )
+    result = Drill(
+        report=summary,
+        gates={name: ok for name, ok in gates.items() if name != "ok"},
+        lines=lines,
+    )
     if out is not None:
-        Path(out).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        result.artifacts[out] = summary
+        lines.append(f"summary written to {out}")
     if report_out is not None:
-        Path(report_out).write_text(
-            json.dumps(chaos_report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if bench_out is not None:
-        _export_chaos_bench(telemetry, summary, config, Path(bench_out))
-    return summary
-
-
-def _export_chaos_bench(
-    telemetry: Telemetry,
-    summary: dict,
-    config: WireConfig,
-    path: Path,
-) -> None:
-    """BENCH gauges for degraded-mode regressions (repro benchdiff)."""
-    from repro.obs import build_snapshot, write_snapshot
-
-    registry = telemetry.metrics
-    p99 = summary["measured"]["query_p99_ms"]
-    if p99 is not None:
-        registry.gauge("wire_chaos_query_p99_ms").set(float(p99))
-    registry.gauge("wire_chaos_primed_pct").set(
-        100.0 * summary["measured"]["primed"] / config.sources
-    )
-    snapshot = build_snapshot(
-        telemetry,
-        meta={
-            "bench": "wire-chaos",
+        # The replayable report: nothing measured, nothing wall-clock.
+        # Two same-seed runs must produce byte-identical files; gate
+        # booleans are included because a green run is green
+        # deterministically.
+        result.artifacts[report_out] = {
+            "schema": CHAOS_SCHEMA,
             "seed": config.seed,
-            "sources": config.sources,
-            "ticks": config.ticks,
-            "tick_seconds": config.tick_seconds,
-        },
+            "workload": workload,
+            "profile": profile.as_dict(),
+            "schedule": {
+                "partition_subset_digest": zlib.crc32(
+                    ",".join(coordinator.partitioned).encode()
+                ),
+                "partitioned_sources": len(coordinator.partitioned),
+                "data_decisions_digest": (
+                    coordinator.data_shaper.schedule_digest()
+                    if coordinator.data_shaper is not None
+                    else 0
+                ),
+                "ack_decisions_digest": (
+                    coordinator.ack_shaper.schedule_digest()
+                    if coordinator.ack_shaper is not None
+                    else 0
+                ),
+                "fuzz_plan_digest": (
+                    coordinator.fuzz.plan_digest(config.ticks)
+                    if coordinator.fuzz is not None
+                    else 0
+                ),
+            },
+            "gates": gates,
+        }
+        lines.append(f"chaos report written to {report_out}")
+    if bench_out is not None:
+        result.snapshots[bench_out] = bench_snapshot(
+            telemetry,
+            {
+                "wire_chaos_query_p99_ms": p99,
+                "wire_chaos_primed_pct": (
+                    100.0 * runtime.primed / config.sources
+                ),
+            },
+            meta={
+                "bench": "wire-chaos",
+                "seed": config.seed,
+                "sources": config.sources,
+                "ticks": config.ticks,
+                "tick_seconds": config.tick_seconds,
+            },
+        )
+        lines.append(f"bench snapshot written to {bench_out}")
+    return result
+
+
+def run_chaos(
+    config: WireConfig,
+    profile: ChaosProfile | None = None,
+    fleet_kind: str = "lite",
+    out: str | Path | None = None,
+    report_out: str | Path | None = None,
+    bench_out: str | Path | None = None,
+) -> dict:
+    """Run one chaos soak, write its artifacts and return the measured
+    summary (gates included); arguments as for :func:`chaos_drill`."""
+    drill = chaos_drill(
+        config, profile, fleet_kind, out, report_out, bench_out
     )
-    snapshot["history"] = {
-        **snapshot["history"], "samples": 0, "series": [],
-    }
-    write_snapshot(path, snapshot)
+    drill.write()
+    return drill.report

@@ -24,17 +24,17 @@ benchdiff`` regression gating in CI.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
+from repro.drill import Drill, bench_snapshot
 from repro.errors import ConfigurationError
-from repro.obs import Telemetry, build_snapshot, write_snapshot
+from repro.obs import Telemetry
 from repro.wire.config import WireConfig
 from repro.wire.fleet import LiteFleet, StepperFleet
 from repro.wire.runtime import AsyncRuntime
 
-__all__ = ["run_soak", "SOAK_SCHEMA"]
+__all__ = ["run_soak", "soak_drill", "SOAK_SCHEMA"]
 
 #: Schema tag carried by every soak summary artifact.
 SOAK_SCHEMA = "repro.wire-soak/v1"
@@ -103,14 +103,35 @@ def _conservation(
     }
 
 
-def summarise(config: WireConfig, runtime: AsyncRuntime) -> dict:
-    """Assemble the soak summary from a completed runtime."""
-    report = runtime.report()
-    conservation = _conservation(runtime)
+def _wire_telemetry(config: WireConfig) -> Telemetry:
+    """Telemetry with the wire SLO rules a soak or chaos run gates on."""
+    telemetry = Telemetry(time_unit="ms")
+    # A δ-suppressed source's worst-case contact cadence is its
+    # heartbeat interval, so a fixed staleness objective would fire on
+    # perfectly healthy runs whenever heartbeats are sparse.  Objective:
+    # 1.5 heartbeat intervals, floored at the default 2.5 s.
+    heartbeat_ms = config.heartbeat_interval_ticks * config.tick_ms
+    telemetry.slo.install_wire_defaults(
+        staleness_objective_ms=max(2500.0, 1.5 * heartbeat_ms),
+        query_p99_objective_ms=config.query_p99_gate_ms,
+    )
+    return telemetry
+
+
+def _workload(config: WireConfig, runtime: AsyncRuntime) -> dict:
+    """The summary's replayable half: workload fields plus the fleet's
+    pre-socket workload digest."""
     workload: dict[str, object] = dict(config.workload_fields())
     digest = getattr(runtime.fleet, "workload_digest", None)
     if digest is not None:
         workload["digest"] = digest()
+    return workload
+
+
+def summarise(config: WireConfig, runtime: AsyncRuntime) -> dict:
+    """Assemble the soak summary from a completed runtime."""
+    report = runtime.report()
+    conservation = _conservation(runtime)
     p99 = report["query_p99_ms"]
     primed_floor = math.ceil(_PRIMED_FLOOR * config.sources)
     gates = {
@@ -129,7 +150,7 @@ def summarise(config: WireConfig, runtime: AsyncRuntime) -> dict:
     )
     return {
         "schema": SOAK_SCHEMA,
-        "workload": workload,
+        "workload": _workload(config, runtime),
         "wire": {
             "server": runtime.server.counters.as_dict(),
             "fleet": runtime.fleet.counters.as_dict(),
@@ -154,50 +175,13 @@ def summarise(config: WireConfig, runtime: AsyncRuntime) -> dict:
     }
 
 
-def _export_bench(
-    telemetry: Telemetry,
-    summary: dict,
-    config: WireConfig,
-    path: Path,
-) -> None:
-    measured = summary["measured"]
-    registry = telemetry.metrics
-    for gauge, key in (
-        ("wire_query_p99_ms", "query_p99_ms"),
-        ("wire_query_p50_ms", "query_p50_ms"),
-    ):
-        value = measured[key]
-        if value is not None:
-            registry.gauge(gauge).set(float(value))
-    registry.gauge("wire_tick_overruns").set(
-        float(measured["overruns"])
-    )
-    snapshot = build_snapshot(
-        telemetry,
-        meta={
-            "bench": "wire",
-            "seed": config.seed,
-            "sources": config.sources,
-            "ticks": config.ticks,
-            "tick_seconds": config.tick_seconds,
-            "query_rate": config.query_rate,
-        },
-    )
-    # The ms-clock history is bulk without being gated; benchdiff judges
-    # gauges, and the counters already prove the pipe end-to-end.
-    snapshot["history"] = {
-        **snapshot["history"], "samples": 0, "series": [],
-    }
-    write_snapshot(path, snapshot)
-
-
-def run_soak(
+def soak_drill(
     config: WireConfig,
     fleet_kind: str = "lite",
     out: str | Path | None = None,
     bench_out: str | Path | None = None,
-) -> dict:
-    """Run one soak and return its summary (gates included).
+) -> Drill:
+    """Run one soak: its summary, gates, summary lines and artifacts.
 
     Args:
         config: The wire runtime configuration.
@@ -206,16 +190,7 @@ def run_soak(
         out: Optional path for the summary JSON artifact.
         bench_out: Optional path for the ``BENCH_wire.json`` snapshot.
     """
-    telemetry = Telemetry(time_unit="ms")
-    # A δ-suppressed source's worst-case contact cadence is its
-    # heartbeat interval, so a fixed staleness objective would fire on
-    # perfectly healthy runs whenever heartbeats are sparse.  Objective:
-    # 1.5 heartbeat intervals, floored at the default 2.5 s.
-    heartbeat_ms = config.heartbeat_interval_ticks * config.tick_ms
-    telemetry.slo.install_wire_defaults(
-        staleness_objective_ms=max(2500.0, 1.5 * heartbeat_ms),
-        query_p99_objective_ms=config.query_p99_gate_ms,
-    )
+    telemetry = _wire_telemetry(config)
     runtime = AsyncRuntime(
         config,
         fleet=_build_fleet(config, fleet_kind),
@@ -223,11 +198,70 @@ def run_soak(
     )
     runtime.run()
     summary = summarise(config, runtime)
+    measured = summary["measured"]
+    wire = summary["wire"]
+    p50 = measured["query_p50_ms"]
+    p99 = measured["query_p99_ms"]
+    lines = [
+        f"wire {'demo' if fleet_kind == 'stepper' else 'soak'}: "
+        f"{config.sources} sources, "
+        f"{measured['ticks']} ticks x {config.tick_seconds:g}s "
+        f"({measured['wall_seconds']:.1f}s wall, "
+        f"{measured['overruns']} overruns)",
+        f"  fleet -> server: {wire['fleet']['datagrams_sent']} datagrams "
+        f"({wire['server']['frames_decoded']} decoded, "
+        f"{wire['server']['frames_corrupt']} corrupt, "
+        f"{wire['server']['inbox_dropped']} inbox-dropped, "
+        f"{wire['conservation']['kernel_dropped_data']} kernel-dropped)",
+        f"  primed {measured['primed']}/{config.sources}, "
+        f"suspects {measured['suspects']}, "
+        f"acks {wire['server']['datagrams_sent']}",
+        f"  queries: {measured['queries']} at "
+        f"{measured['query_qps']:g}/s, "
+        f"p50 {p50 if p50 is not None else '-'} ms, "
+        f"p99 {p99 if p99 is not None else '-'} ms "
+        f"(gate {config.query_p99_gate_ms:g} ms)",
+    ]
+    drill = Drill(
+        report=summary,
+        gates={
+            name: summary["gates"][name]
+            for name in ("query_p99_ok", "conservation_ok", "primed_ok")
+        },
+        lines=lines,
+    )
     if out is not None:
-        Path(out).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        drill.artifacts[out] = summary
+        lines.append(f"summary written to {out}")
     if bench_out is not None:
-        _export_bench(telemetry, summary, config, Path(bench_out))
-    return summary
+        drill.snapshots[bench_out] = bench_snapshot(
+            telemetry,
+            {
+                "wire_query_p99_ms": p99,
+                "wire_query_p50_ms": p50,
+                "wire_tick_overruns": measured["overruns"],
+            },
+            meta={
+                "bench": "wire",
+                "seed": config.seed,
+                "sources": config.sources,
+                "ticks": config.ticks,
+                "tick_seconds": config.tick_seconds,
+                "query_rate": config.query_rate,
+            },
+        )
+        lines.append(f"bench snapshot written to {bench_out}")
+    return drill
+
+
+def run_soak(
+    config: WireConfig,
+    fleet_kind: str = "lite",
+    out: str | Path | None = None,
+    bench_out: str | Path | None = None,
+) -> dict:
+    """Run one soak, write its artifacts and return its summary (gates
+    included); arguments as for :func:`soak_drill`."""
+    drill = soak_drill(config, fleet_kind, out, bench_out)
+    drill.write()
+    return drill.report

@@ -301,6 +301,26 @@ class TestChaosCommand:
         assert "crash-at" in capsys.readouterr().err
 
 
+class TestDrillFlagRefusals:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["chaos", "--federation", "--surge"], "--surge"),
+            (["chaos", "--batch", "--federation"], "--federation"),
+            (["chaos", "--surge", "--peers", "9"], "--peers"),
+            (["chaos", "--federation", "--crash-at", "5"], "--crash-at"),
+            (["chaos", "--batch", "--load-factor", "2"], "--load-factor"),
+            (["wire", "--soak", "--demo"], "--demo"),
+            (["wire", "--soak", "--chaos-report", "x.json"], "--chaos-report"),
+        ],
+    )
+    def test_flag_of_another_drill_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestSloCommand:
     def test_demo_prints_report(self, capsys):
         code = main(["slo", "--demo", "--ticks", "150"])
